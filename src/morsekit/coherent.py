@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import QuadratureAccuracyError
 from .spectrum import OrderedSpectrum
@@ -27,6 +26,7 @@ __all__ = [
     "CoherentState",
     "coherent_coefficients",
     "bg_residual",
+    "log_bg_residual",
     "bg_residual_direct",
     "MomentReport",
     "moments",
@@ -123,7 +123,10 @@ def coherent_coefficients(psi, ladder: LadderSpectrum, basis: MuBasis) -> Cohere
 
     All powers and factorials are combined in log space with one logsumexp
     for the normalization, so coefficients come out correct even when
-    individual terms span thousands of orders of magnitude.
+    individual terms span thousands of orders of magnitude.  The logsumexp
+    separates out every term tied at the maximum and adds
+    log1p(rest / count) + log(count) + top in that order, which is the
+    evaluation order of ``scipy.special.logsumexp``.
     """
     if ladder.xi != basis.xi:
         raise ValueError(f"ladder has {ladder.xi + 1} rungs but the basis has {basis.xi + 1} levels")
@@ -135,27 +138,40 @@ def coherent_coefficients(psi, ladder: LadderSpectrum, basis: MuBasis) -> Cohere
         return CoherentState(psi, coeffs, 0.0, basis)
     log_abs_psi = math.log(abs(psi))
     terms = 2.0 * n * log_abs_psi - ladder.log_factorials
-    log_norm = float(logsumexp(terms))
+    top = terms.max()
+    at_top = terms == top
+    count = float(np.count_nonzero(at_top))
+    rest = np.exp(np.where(at_top, -np.inf, terms - top)).sum() / count
+    log_norm = float(np.log1p(rest) + np.log(count) + top)
     log_coeffs = n * log_abs_psi - 0.5 * ladder.log_factorials - 0.5 * log_norm
     coeffs = np.exp(log_coeffs) * np.exp(1j * n * np.angle(psi))
     return CoherentState(psi, coeffs, log_norm, basis)
 
 
-def bg_residual(state: CoherentState, ladder: LadderSpectrum) -> float:
-    """Magnitude of the truncation term left by the lowering operator.
+def log_bg_residual(state: CoherentState, ladder: LadderSpectrum) -> float:
+    """Natural log of the truncation term left by the lowering operator.
 
     Acting with the lowering operator reproduces Psi times the state except
-    for one boundary term of magnitude |Psi|^(xi+1) / sqrt([f(xi)]! N(Psi)),
-    which this returns through its logarithm (exactly 0 for Psi = 0).
+    for one boundary term of magnitude |Psi|^(xi+1) / sqrt([f(xi)]! N(Psi)).
+    Its log stays finite where the magnitude itself underflows (k = 30,
+    Psi = 2 gives about -1395); it is -inf for Psi = 0.
     """
     if state.psi == 0.0:
-        return 0.0
-    log_r = (
+        return -math.inf
+    return float(
         (state.xi + 1) * math.log(abs(state.psi))
         - 0.5 * ladder.log_factorials[-1]
         - 0.5 * state.log_normalization
     )
-    return math.exp(log_r)
+
+
+def bg_residual(state: CoherentState, ladder: LadderSpectrum) -> float:
+    """Magnitude of the truncation term, exp of ``log_bg_residual``.
+
+    Underflows to 0.0 once the log drops below about -745; use
+    ``log_bg_residual`` there.  Exactly 0 for Psi = 0.
+    """
+    return math.exp(log_bg_residual(state, ladder))
 
 
 def bg_residual_direct(state: CoherentState, ladder: LadderSpectrum, dps: int | None = None) -> float:

@@ -112,13 +112,11 @@ def _dump_json(path, doc) -> None:
 
 def write_density_csv(path, field: ScalarField2D) -> None:
     """x, y, value rows; x is the outer loop, y the inner one."""
-    xs = field.spec.x_centers()
-    ys = field.spec.y_centers()
+    xs = [repr(x) for x in field.spec.x_centers().tolist()]
+    ys = [repr(y) for y in field.spec.y_centers().tolist()]
     lines = ["x,y,value"]
-    for i, x in enumerate(xs):
-        row = field.values[i]
-        for j, y in enumerate(ys):
-            lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(row[j])}")
+    for x, row in zip(xs, field.values.tolist()):
+        lines.extend(f"{x},{y},{v!r}" for y, v in zip(ys, row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -135,10 +133,9 @@ def write_density_pgm(path, field: ScalarField2D) -> None:
     else:
         pixels = np.zeros(values.shape, dtype=int)
     lines = ["P2", f"{field.spec.nx} {field.spec.ny}", str(_PGM_MAX)]
-    for j in range(field.spec.ny - 1, -1, -1):
+    for row in pixels[:, ::-1].T.tolist():
         line = ""
-        for i in range(field.spec.nx):
-            token = str(pixels[i, j])
+        for token in map(str, row):
             if not line:
                 line = token
             elif len(line) + 1 + len(token) <= _PGM_LINE_WIDTH:

@@ -1,9 +1,15 @@
 """Command-line interface: golden outputs, determinism, exit codes."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import morsekit
 from morsekit import QuadratureAccuracyError
 from morsekit.cli import main
 
@@ -441,3 +447,69 @@ class TestExitCodes:
         )
         assert code == 2
         assert "yaml" in err
+
+
+# sha256 of every file each run writes.  A non-square grid makes an x/y
+# swap or a transposed raster change the bytes.
+GOLDEN_RUNS = {
+    "density --p 3pi --psi 0.1 --grid 120x90": {
+        "stdout": "state=coherent value_max=1.417168661087675\n"
+        "wrote density.csv density.pgm density_meta.json coherent.json\n",
+        "files": {
+            "coherent.json": "ae37239391c1360ea71de0fea2af4a4c544670765d39808153b3b88c6300827d",
+            "density.csv": "0faa1ef14e44e48a7fcae6cd427b3ec9c860cda25ab8bf991cff3bbf065da3b3",
+            "density.pgm": "769f4fe3633fe7a9379154d26b3cfd5fd121a5a02d9f5463a9fedb1f12ea3f1b",
+            "density_meta.json": "4bddba503a7c5a32bc265016bd2db5ce81f692bcb9cbc54180e7ecf899aedf51",
+        },
+    },
+    "density --p 3pi --mu 18 --gamma 0.866 --delta 0.5 --grid 70x110": {
+        "stdout": "state=mu_18 value_max=0.4315761077599864\n"
+        "wrote density.csv density.pgm density_meta.json\n",
+        "files": {
+            "density.csv": "dc6f3899b75a8395aa48d681242e8eb5d7446420710f8e50d9acc4391409becd",
+            "density.pgm": "1c2aee8b052e10c99516ba7a35f62e52569271fc27130b805992c95077005d0a",
+            "density_meta.json": "e2da07eb44169a1573b1890e8e55b2e4b24435130b7a5933184a9e82d64e5dd8",
+        },
+    },
+    "uncertainty --p 3pi --gamma 0.866 --delta 0.5": {
+        "stdout": "wrote sweep.csv\nseparation_psi=1.7\n",
+        "files": {
+            "sweep.csv": "d797dfdfbb7ca2c8f9bf0816234f70634d6934dd5333f3fbc9f053de7425e545",
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_RUNS))
+def test_golden_bytes(command, tmp_path, capsys):
+    code, out, err = run(capsys, *command.split(), "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert out == GOLDEN_RUNS[command]["stdout"]
+    written = {
+        f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(tmp_path.iterdir())
+    }
+    assert written == GOLDEN_RUNS[command]["files"]
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # scipy is a test-only dependency: no subcommand may load any part of it
+    script = f"""
+import sys
+import morsekit.cli
+out = {str(tmp_path)!r}
+for argv in (
+    ["spectrum", "--p", "3pi"],
+    ["degeneracy", "--p", "3pi"],
+    ["density", "--p", "3pi", "--psi", "0.5", "--grid", "12x10"],
+    ["uncertainty", "--p", "3pi", "--psi-stop", "0.3"],
+):
+    assert morsekit.cli.main(argv + ["--out", out]) == 0, argv
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+"""
+    src = str(Path(morsekit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
+from scipy.special import logsumexp
 
 from morsekit import (
     LadderSpectrum,
@@ -21,7 +22,10 @@ from morsekit import (
     density_grid,
     first_separation,
     ladder_f,
+    log_bg_residual,
     moments,
+    order_spectrum,
+    pi_multiple_text,
     uncertainty_sweep,
 )
 
@@ -111,6 +115,47 @@ class TestCoefficients:
         assert mat[0, 1] == pytest.approx(state.coefficients[1] / math.sqrt(2.0), rel=1e-14)
 
 
+
+class TestNormalizationParity:
+    """log_normalization reproduces scipy.special.logsumexp bit for bit."""
+
+    @staticmethod
+    def _terms(psi, ladder):
+        n = np.arange(ladder.xi + 1)
+        return 2.0 * n * math.log(abs(psi)) - ladder.log_factorials
+
+    def test_reference_ladder(self, ladder_3pi, mu_3pi):
+        for psi in (1e-3, 0.1, 0.5, 1.0, 1.7, 2.5j, 3 + 4j, 5.0, 12.0, 1e3):
+            state = coherent_coefficients(psi, ladder_3pi, mu_3pi)
+            assert state.log_normalization == float(logsumexp(self._terms(psi, ladder_3pi)))
+
+    def test_tied_maxima(self, mu_3pi):
+        # f(i) = i makes [f(n)]! = n!, so |Psi| = 1 ties the n = 0 and n = 1 terms at 0
+        ladder = LadderSpectrum.from_strengths(np.arange(mu_3pi.xi + 1.0))
+        for psi in (1.0, -1.0, 1j, complex(math.cos(0.3), math.sin(0.3))):
+            terms = self._terms(psi, ladder)
+            assert np.count_nonzero(terms == terms.max()) == 2
+            state = coherent_coefficients(psi, ladder, mu_3pi)
+            assert state.log_normalization == float(logsumexp(terms))
+
+    def test_seeded_ladders(self, mu_3pi):
+        rng = np.random.default_rng(1729)
+        ties = 0
+        for trial in range(400):
+            if trial % 2:
+                gaps = rng.uniform(0.01, 20.0, mu_3pi.xi)
+                psi = complex(*(rng.standard_normal(2) * 10.0 ** rng.uniform(-2, 2)))
+            else:
+                gaps = rng.integers(1, 4, mu_3pi.xi).astype(float)
+                psi = float(rng.choice([0.5, 1.0, 2.0, 3.0])) * 1j ** int(rng.integers(4))
+            ladder = LadderSpectrum.from_strengths(np.concatenate([[0.0], np.cumsum(gaps)]))
+            terms = self._terms(psi, ladder)
+            ties += np.count_nonzero(terms == terms.max()) > 1
+            state = coherent_coefficients(psi, ladder, mu_3pi)
+            assert state.log_normalization == float(logsumexp(terms))
+        assert ties > 0
+
+
 class TestResidual:
     def test_zero_amplitude_no_residual(self, ladder_3pi, mu_3pi):
         state = coherent_coefficients(0.0, ladder_3pi, mu_3pi)
@@ -134,6 +179,28 @@ class TestResidual:
             for psi in (0.5, 1.0, 2.0, 4.0)
         ]
         assert all(b > a for a, b in zip(values, values[1:]))
+
+
+    def test_log_residual_survives_underflow(self):
+        spectrum = order_spectrum(decompose(pi_multiple_text(9.7), "irrational"))
+        ladder = ladder_f(spectrum)
+        assert spectrum.parameter.k == 30
+        state = coherent_coefficients(2.0, ladder, build_mu_basis(spectrum))
+        log_r = log_bg_residual(state, ladder)
+        assert math.isfinite(log_r)
+        assert bg_residual(state, ladder) == 0.0  # the magnitude itself underflows
+        with mpmath.workdps(50):  # the same closed form, in 50 digits
+            log_fact = mpmath.mpf(0)
+            norm = mpmath.mpf(1)
+            for n, value in enumerate(ladder.f[1:].tolist(), start=1):
+                log_fact += mpmath.log(mpmath.mpf(value))
+                norm += mpmath.exp(2 * n * mpmath.log(2) - log_fact)
+            oracle = (state.xi + 1) * mpmath.log(2) - log_fact / 2 - mpmath.log(norm) / 2
+        assert abs(log_r - float(oracle)) <= 1e-12 * abs(float(oracle))
+
+    def test_zero_amplitude_log_residual(self, ladder_3pi, mu_3pi):
+        state = coherent_coefficients(0.0, ladder_3pi, mu_3pi)
+        assert log_bg_residual(state, ladder_3pi) == -math.inf
 
 
 class TestMoments:

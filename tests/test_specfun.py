@@ -5,8 +5,17 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
-from morsekit import laguerre, laguerre_derivative, laguerre_signed_log, log_gamma
+from morsekit import (
+    MorseBasis,
+    decompose,
+    laguerre,
+    laguerre_derivative,
+    laguerre_signed_log,
+    log_gamma,
+    pi_multiple_text,
+)
 
 
 class TestLogGamma:
@@ -34,6 +43,53 @@ class TestLogGamma:
     def test_array_input(self):
         out = log_gamma(np.array([1.0, 2.0, 3.0]))
         assert np.allclose(out, [0.0, 0.0, math.log(2.0)], atol=1e-14)
+
+
+
+class TestLogGammaParity:
+    """log_gamma reproduces scipy.special.gammaln bit for bit.
+
+    Normalization constants, densities and sweeps inherit every bit of
+    ln Gamma, so the written output files depend on exact agreement, not
+    agreement to a tolerance.
+    """
+
+    def test_every_branch_bit_for_bit(self):
+        rng = np.random.default_rng(20210428)
+        x = np.concatenate(
+            [
+                rng.uniform(0.0, 2.0, 4000),  # shifted up into [2, 3)
+                rng.uniform(2.0, 3.0, 2000),  # rational kernel directly
+                rng.uniform(3.0, 13.0, 4000),  # shifted down into [2, 3)
+                rng.uniform(13.0, 1000.0, 4000),  # Stirling with the A series
+                rng.uniform(1000.0, 1.0e8, 2000),  # short Stirling correction
+                10.0 ** rng.uniform(8.0, 305.0, 2000),  # bare Stirling
+                10.0 ** rng.uniform(-320.0, 0.0, 1000),  # tiny and subnormal
+                [5e-324, 2.0, 3.0, 13.0, 1000.0, 1.0e8, np.nextafter(1.0e8, np.inf)],
+                [2.556348e305, 1.7e308, np.inf],  # past the overflow cut, infinite
+            ]
+        )
+        assert np.array_equal(log_gamma(x), gammaln(x))
+        assert [log_gamma(v) for v in x[::97].tolist()] == gammaln(x[::97]).tolist()
+
+    def test_library_arguments_bit_for_bit(self):
+        # n + 1 and nu - n are the arguments the 1D and 2D normalizations use
+        args = set()
+        for j in range(1, 640):
+            basis = MorseBasis(decompose(pi_multiple_text(j / 10), "irrational"))
+            if basis.k > 200:
+                break
+            for n in basis.bound_modes():
+                args.update((n + 1.0, basis.nu - n))
+        x = np.array(sorted(args))
+        assert x.size > 4000
+        assert np.array_equal(log_gamma(x), gammaln(x))
+
+    def test_array_shape_preserved(self):
+        x = np.arange(1.0, 13.0).reshape(3, 4)
+        out = log_gamma(x)
+        assert out.shape == (3, 4)
+        assert np.array_equal(out, gammaln(x))
 
 
 def _laguerre_coefficient_oracle(n, alpha, x):
