@@ -107,9 +107,13 @@ class CoherentState:
         return math.exp(self.log_normalization)
 
     def coefficient_matrix(self, dim: int) -> np.ndarray:
+        rows, cols, values, owner = zip(
+            *((n, m, value, i) for i, state in enumerate(self.basis.states) for n, m, value in state.entries)
+        )
+        if max(rows) >= dim:
+            raise ValueError(f"level states up to n = {max(rows)} do not fit in dimension {dim}")
         c = np.zeros((dim, dim), dtype=complex)
-        for weight, state in zip(self.coefficients, self.basis.states):
-            c += weight * state.coefficient_matrix(dim)
+        np.add.at(c, (rows, cols), self.coefficients[list(owner)] * np.array(values))
         return c
 
     def localization_fraction(self, count: int = 1) -> float:
@@ -197,12 +201,13 @@ def bg_residual_direct(state: CoherentState, ladder: LadderSpectrum, dps: int | 
         log_fact = [mpmath.mpf(0)]
         for value in ladder.f[1:]:
             log_fact.append(log_fact[-1] + mpmath.log(mpmath.mpf(value)))
-        terms = [2 * i * mpmath.log(apsi) - log_fact[i] for i in range(state.xi + 1)]
+        log_apsi = mpmath.log(apsi)
+        phase = mpmath.arg(psi)
+        terms = [2 * i * log_apsi - log_fact[i] for i in range(state.xi + 1)]
         top = max(terms)
         norm = top + mpmath.log(mpmath.fsum(mpmath.exp(t - top) for t in terms))
         coeff = [
-            mpmath.exp(i * mpmath.log(apsi) - log_fact[i] / 2 - norm / 2)
-            * mpmath.exp(1j * i * mpmath.arg(psi))
+            mpmath.exp(i * log_apsi - log_fact[i] / 2 - norm / 2) * mpmath.exp(1j * i * phase)
             for i in range(state.xi + 1)
         ]
         # lowering action: (A- c)[i] = sqrt(f(i+1)) c[i+1], zero at the top rung

@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from oracles import coherent_coefficient_matrix_sum
 from scipy.integrate import quad as scipy_quad
 from scipy.special import logsumexp
 
@@ -114,6 +115,22 @@ class TestCoefficients:
         assert mat[1, 0] == pytest.approx(state.coefficients[1] / math.sqrt(2.0), rel=1e-14)
         assert mat[0, 1] == pytest.approx(state.coefficients[1] / math.sqrt(2.0), rel=1e-14)
 
+    @pytest.mark.parametrize("text", [pi_multiple_text(3.0), "24.41"])
+    def test_coefficient_matrix_matches_level_sum(self, text):
+        spectrum = order_spectrum(decompose(text, "irrational"))
+        mix = MixingCoefficients.normalized(0.6 - 0.2j, 0.3 + 0.7j)
+        mu = build_mu_basis(spectrum, mix, {2: MixingCoefficients.normalized(-1.0, 1j)})
+        dim = spectrum.parameter.k + 1
+        for psi in (0.5, 2.5 + 1.5j, -7j):
+            state = coherent_coefficients(psi, ladder_f(spectrum), mu)
+            mat = state.coefficient_matrix(dim)
+            oracle = coherent_coefficient_matrix_sum(state, dim)
+            assert np.array_equal(mat.view(np.uint64), oracle.view(np.uint64))
+
+    def test_coefficient_matrix_rejects_small_dimension(self, ladder_3pi, mu_3pi):
+        with pytest.raises(ValueError):
+            coherent_coefficients(0.5, ladder_3pi, mu_3pi).coefficient_matrix(mu_3pi.dim - 1)
+
 
 
 class TestNormalizationParity:
@@ -172,6 +189,21 @@ class TestResidual:
             analytic = bg_residual(state, ladder_3pi)
             direct = bg_residual_direct(state, ladder_3pi)
             assert direct == pytest.approx(analytic, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "text, psi, expected",
+        [
+            (pi_multiple_text(3.0), 1.5 + 2j, 1.659142906186609e-33),
+            ("20.618", -3.25 + 0.5j, 1.1085061950484876e-192),
+        ],
+    )
+    def test_direct_residual_pinned(self, text, psi, expected):
+        # recorded values: the check is deterministic mpf arithmetic, so any
+        # change to its sequence of operations shows as a mismatch
+        spectrum = order_spectrum(decompose(text, "irrational"))
+        ladder = ladder_f(spectrum)
+        state = coherent_coefficients(psi, ladder, build_mu_basis(spectrum))
+        assert bg_residual_direct(state, ladder) == expected
 
     def test_residual_grows_with_amplitude(self, ladder_3pi, mu_3pi):
         values = [

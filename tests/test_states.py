@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from oracles import gram_matrix_loop
 from scipy.integrate import quad as scipy_quad
 
 from morsekit import (
@@ -15,10 +16,12 @@ from morsekit import (
     QuadratureConfig,
     ScalarField2D,
     build_mu_basis,
+    coherent_coefficients,
     decompose,
     density_grid,
     eigenfunction,
     gram_matrix,
+    ladder_f,
     mu_wavefunction,
     normalization,
     order_spectrum,
@@ -350,3 +353,45 @@ class TestOverlap:
         basis = MorseBasis(decompose("9", "integer"))
         with pytest.raises(ValueError):
             overlap(basis, MuState(0, 9, 9), MuState(0, 9, 9))
+
+
+class TestGramMatrix:
+    """gram_matrix against the per-pair vdot loop it replaced (tests/oracles.py)."""
+
+    @pytest.fixture(scope="class")
+    def deep_well(self):
+        # k = 20, complex unequal mixing with one level overridden
+        p = decompose("20.618", "irrational")
+        mix = MixingCoefficients.normalized(0.3 + 0.8j, -0.5 + 0.1j)
+        spectrum = order_spectrum(p)
+        mu = build_mu_basis(spectrum, mix, {4: MixingCoefficients.normalized(1j, 2.0)})
+        return MorseBasis(p), mu
+
+    @staticmethod
+    def _check(basis, states):
+        g = gram_matrix(basis, states)
+        assert g.shape == (len(states), len(states))
+        assert np.max(np.abs(g - gram_matrix_loop(basis, states))) <= 1e-15
+        assert np.max(np.abs(g - g.conj().T)) <= 1e-15
+        return g
+
+    def test_reference_well(self, basis_3pi, mu_3pi):
+        self._check(basis_3pi, mu_3pi.states)
+
+    def test_deep_well_complex_mixing(self, deep_well):
+        basis, mu = deep_well
+        assert basis.k == 20
+        g = self._check(basis, mu.states)
+        assert np.max(np.abs(g - np.eye(len(mu.states)))) < 1e-7
+
+    def test_mixed_state_types(self, deep_well):
+        # the coherent state spans many pairs of terms, which are summed into one row and column
+        basis, mu = deep_well
+        coherent = coherent_coefficients(1.3 - 0.7j, ladder_f(mu.spectrum), mu)
+        g = self._check(basis, [mu.states[0], mu.states[4], coherent, mu.states[7]])
+        assert g[2, 2] == pytest.approx(1.0, abs=1e-12)
+        assert g[1, 2] == pytest.approx(coherent.coefficients[4], abs=1e-12)
+
+    def test_empty_state_list(self, basis_3pi):
+        g = gram_matrix(basis_3pi, [])
+        assert g.shape == (0, 0)
