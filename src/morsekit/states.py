@@ -631,12 +631,11 @@ def gram_matrix(basis: MorseBasis, states, quad: QuadratureConfig | None = None)
         c = _coefficient_matrix(state, basis.k + 1)
         basis._check_matrix_modes(c)
         a, b = np.nonzero(c)
-        pairs = max(1, -(-a.size // 2))
-        pad = [0] * (2 * pairs - a.size)
+        pad = [0] * (a.size % 2)
         rows += a.tolist() + pad
         cols += b.tolist() + pad
         vals += c[a, b].tolist() + pad
-        owner += [i] * pairs
+        owner += [i] * ((a.size + 1) // 2)
     rows, cols = (np.array(x, dtype=np.intp).reshape(-1, 2) for x in (rows, cols))
     vals = np.array(vals, dtype=complex).reshape(-1, 2)
     pair_gram = np.zeros((len(vals), len(vals)), dtype=complex)
