@@ -294,9 +294,11 @@ def moments(basis: MorseBasis, state, axis: str = "x", quad: QuadratureConfig | 
     fine = _axis_expectations(c, basis.mode_tables(quad.refined()), axis)
     for name in ("mean_q", "mean_q2", "mean_p", "mean_p2"):
         a, b = getattr(coarse, name), getattr(fine, name)
-        if abs(a - b) > _MOMENT_TOL * max(1.0, abs(b)):
+        delta, limit = abs(a - b), _MOMENT_TOL * max(1.0, abs(b))
+        if delta > limit:
             raise QuadratureAccuracyError(
-                f"{name} along {axis} moved by {abs(a - b):.3e} under refinement"
+                f"{name} along {axis} moved by {delta:.3e} under refinement",
+                quantity=f"{name} along {axis}", delta=delta, tol=limit, rule=quad,
             )
     return fine
 

@@ -14,9 +14,30 @@ class OrderingAmbiguityError(MorsekitError):
 
     Raised when the exact-arithmetic tie-break cannot separate two levels,
     which means the declared arithmetic type of p is inconsistent with the
-    requested total order.
+    requested total order.  ``keys`` holds the two tied LevelKeys (None when
+    the level count itself is wrong); ``p_text`` and ``mode`` are the
+    declared principal parameter.
     """
+
+    def __init__(self, message: str, *, keys=None, p_text: str | None = None, mode: str | None = None):
+        super().__init__(message)
+        self.keys = keys
+        self.p_text = p_text
+        self.mode = mode
 
 
 class QuadratureAccuracyError(MorsekitError):
-    """A quadrature result changed too much under refinement to be trusted."""
+    """A quadrature result changed too much under refinement to be trusted.
+
+    ``quantity`` names the value that moved, ``delta`` is how far it moved
+    between ``rule`` (a QuadratureConfig) and its refinement, and ``tol`` is
+    the absolute limit it exceeded.
+    """
+
+    def __init__(self, message: str, *, quantity: str | None = None, delta: float | None = None,
+                 tol: float | None = None, rule=None):
+        super().__init__(message)
+        self.quantity = quantity
+        self.delta = delta
+        self.tol = tol
+        self.rule = rule

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, localcontext
 from fractions import Fraction
@@ -413,7 +414,8 @@ def _resolve_float_ties(param: PrincipalParameter, records: list[LevelRecord]) -
                     raise OrderingAmbiguityError(
                         f"levels {u.key} and {v.key} are exactly degenerate at "
                         f"p = {param.p_text}; the declared mode {param.mode!r} does not "
-                        "admit a strict order here"
+                        "admit a strict order here",
+                        keys=(u.key, v.key), p_text=param.p_text, mode=param.mode,
                     )
         out.extend(run)
         i = j
@@ -440,7 +442,8 @@ def order_spectrum(param: PrincipalParameter) -> OrderedSpectrum:
         if len(records) != expected:
             raise OrderingAmbiguityError(
                 f"irrational mode produced {len(records)} levels where "
-                f"{expected} were expected; the declared mode is inconsistent"
+                f"{expected} were expected; the declared mode is inconsistent",
+                p_text=param.p_text, mode=param.mode,
             )
     return OrderedSpectrum(param, tuple(records), len(records) - 1)
 
@@ -464,21 +467,55 @@ def crossing_report(k: int, epsilon: float, tol: float) -> list[Crossing]:
     it is reported when |delta_a + 2 eps delta_b| < 2 tol |delta_b|, i.e. when
     eps* falls inside (epsilon - tol, epsilon + tol).  Pairs with equal b
     never cross and are skipped.
+
+    The L = (k+1)(k+2)/2 keys are grouped by slope b with a sorted inside
+    each group.  For each slope, every key of a smaller slope looks up the
+    integer a-window of that group that can hold its partners, widened by
+    one on each side, and only those candidates are tested with the float
+    predicate above.  The window never decides a hit, so the result is the
+    one an all-pairs scan gives.  Time O(k L log L); memory O(L + reported
+    crossings), never the O(L^2) pair product.
     """
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
+        raise ValueError(f"k must be a non-negative integer, got {k!r}")
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie strictly inside (0, 1)")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    keys = sorted({level_key(k, n, m) for n in range(k + 1) for m in range(k + 1)})
-    a = np.array([key.a for key in keys], dtype=float)
-    b = np.array([key.b for key in keys], dtype=float)
-    ii, jj = np.triu_indices(len(keys), 1)
-    da = a[ii] - a[jj]
-    db = b[ii] - b[jj]
-    hit = np.abs(da + 2.0 * epsilon * db) < 2.0 * tol * np.abs(db)
+    if not math.isfinite(tol):
+        raise ValueError("tol must be finite")
+    k = int(k)
+    # n >= m gives every key exactly once: (a, b) fixes the pair {k-n, k-m}
+    n, m = np.tril_indices(k + 1)
+    u, v = k - n, k - m
+    a_int, b_int = u * u + v * v, u + v
+    order = np.lexsort((a_int, b_int))
+    a_int, b_int = a_int[order], b_int[order]
+    a, b = a_int.astype(float), b_int.astype(float)
+    bounds = np.searchsorted(b_int, np.arange(2 * k + 2))
+    pick_i, pick_j = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    for slope in range(1, 2 * k + 1):
+        lo, hi = bounds[slope], bounds[slope + 1]
+        # partners of key p in this group have a within 2 tol |db| of the centre
+        db = b[:lo] - slope
+        centre = a[:lo] + 2.0 * epsilon * db
+        half = 2.0 * tol * np.abs(db)
+        first = lo + np.searchsorted(a[lo:hi], np.floor(centre - half) - 1.0, "left")
+        count = lo + np.searchsorted(a[lo:hi], np.ceil(centre + half) + 1.0, "right") - first
+        p = np.repeat(np.arange(lo), count)
+        q = np.arange(p.size) + np.repeat(first - (np.cumsum(count) - count), count)
+        # the predicate and -da/(2 db) are exact under swapping p and q
+        da, db = a[p] - a[q], b[p] - b[q]
+        hit = np.abs(da + 2.0 * epsilon * db) < 2.0 * tol * np.abs(db)
+        pick_i.append(p[hit])
+        pick_j.append(q[hit])
+    p, q = np.concatenate(pick_i), np.concatenate(pick_j)
+    cross = -(a[p] - a[q]) / (2.0 * (b[p] - b[q]))
     out = []
-    for idx in np.nonzero(hit)[0]:
-        key_i, key_j = sorted((keys[ii[idx]], keys[jj[idx]]))
-        out.append(Crossing(key_i, key_j, float(-da[idx] / (2.0 * db[idx]))))
+    for ap, bp, aq, bq, at in zip(
+        a_int[p].tolist(), b_int[p].tolist(), a_int[q].tolist(), b_int[q].tolist(), cross.tolist()
+    ):
+        key_i, key_j = sorted((LevelKey(ap, bp), LevelKey(aq, bq)))
+        out.append(Crossing(key_i, key_j, at))
     out.sort(key=lambda c: (c.epsilon_cross, c.key_i, c.key_j))
     return out

@@ -601,10 +601,12 @@ def overlap(basis: MorseBasis, state_a, state_b, quad: QuadratureConfig | None =
     fine = basis.mode_tables(quad.refined())
     v_coarse = _braket(c1, c2, coarse.overlap_1d, coarse.overlap_1d)
     v_fine = _braket(c1, c2, fine.overlap_1d, fine.overlap_1d)
-    if abs(v_fine - v_coarse) > _REFINEMENT_TOL:
+    delta = abs(v_fine - v_coarse)
+    if delta > _REFINEMENT_TOL:
         raise QuadratureAccuracyError(
-            f"overlap moved by {abs(v_fine - v_coarse):.3e} under refinement "
-            f"(rule {quad.points_per_axis}x{quad.panels})"
+            f"overlap moved by {delta:.3e} under refinement "
+            f"(rule {quad.points_per_axis}x{quad.panels})",
+            quantity="overlap", delta=delta, tol=_REFINEMENT_TOL, rule=quad,
         )
     return v_fine
 

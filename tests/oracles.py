@@ -6,7 +6,7 @@ vectorized; they are slow but their arithmetic is easy to audit.
 
 import numpy as np
 
-from morsekit import QuadratureConfig
+from morsekit import Crossing, QuadratureConfig, level_key
 
 
 def gram_matrix_loop(basis, states, quad=None):
@@ -29,3 +29,20 @@ def coherent_coefficient_matrix_sum(state, dim):
     for weight, level_state in zip(state.coefficients, state.basis.states):
         c += weight * level_state.coefficient_matrix(dim)
     return c
+
+
+def crossing_report_pairs(k, epsilon, tol):
+    """crossing_report over every one of the L(L-1)/2 key pairs at once."""
+    keys = sorted({level_key(k, n, m) for n in range(k + 1) for m in range(k + 1)})
+    a = np.array([key.a for key in keys], dtype=float)
+    b = np.array([key.b for key in keys], dtype=float)
+    ii, jj = np.triu_indices(len(keys), 1)
+    da = a[ii] - a[jj]
+    db = b[ii] - b[jj]
+    hit = np.abs(da + 2.0 * epsilon * db) < 2.0 * tol * np.abs(db)
+    out = []
+    for idx in np.nonzero(hit)[0]:
+        key_i, key_j = sorted((keys[ii[idx]], keys[jj[idx]]))
+        out.append(Crossing(key_i, key_j, float(-da[idx] / (2.0 * db[idx]))))
+    out.sort(key=lambda c: (c.epsilon_cross, c.key_i, c.key_j))
+    return out

@@ -338,5 +338,10 @@ class TestQuadratureGuard:
         from morsekit import QuadratureConfig
 
         bad = QuadratureConfig(points_per_axis=4, panels=1)
-        with pytest.raises(QuadratureAccuracyError):
+        with pytest.raises(QuadratureAccuracyError) as info:
             moments(basis_3pi, mu_3pi.states[18], "x", quad=bad)
+        err = info.value
+        assert err.quantity == "mean_q along x"
+        assert err.rule == bad
+        assert err.delta > err.tol >= 1e-7
+        assert str(err) == f"mean_q along x moved by {err.delta:.3e} under refinement"

@@ -1,11 +1,16 @@
 """Spectrum classification, exact counting, and unambiguous ordering."""
 
 import math
+import random
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import crossing_report_pairs
 
 from morsekit import (
     ACCIDENTAL,
@@ -31,6 +36,7 @@ from morsekit import (
     scaled_energy,
     shifted_energy,
 )
+from morsekit import spectrum
 
 
 class TestPhysicalParams:
@@ -307,8 +313,29 @@ class TestOrderSpectrum:
 
     def test_exact_tie_raises(self):
         # p = 3.5 fed through the irrational path hits a genuine collision
-        with pytest.raises(OrderingAmbiguityError):
+        with pytest.raises(OrderingAmbiguityError) as info:
             order_spectrum(decompose("3.5", IRRATIONAL))
+        err = info.value
+        assert set(err.keys) == {LevelKey(8, 4), LevelKey(9, 3)}
+        assert (err.p_text, err.mode) == ("3.5", IRRATIONAL)
+        assert str(err) == (
+            "levels LevelKey(a=8, b=4) and LevelKey(a=9, b=3) are exactly degenerate at "
+            "p = 3.5; the declared mode 'irrational' does not admit a strict order here"
+        )
+
+    def test_level_count_mismatch_raises_without_keys(self, monkeypatch):
+        param = decompose("3.3", IRRATIONAL)
+        levels = enumerate_levels(param)
+        monkeypatch.setattr(spectrum, "enumerate_levels", lambda param: levels[:-1])
+        with pytest.raises(OrderingAmbiguityError) as info:
+            order_spectrum(param)
+        err = info.value
+        assert err.keys is None
+        assert (err.p_text, err.mode) == ("3.3", IRRATIONAL)
+        assert str(err) == (
+            "irrational mode produced 9 levels where 10 were expected; "
+            "the declared mode is inconsistent"
+        )
 
     def test_rational_mode_handles_the_same_value(self):
         spec = order_spectrum(decompose("3.5", RATIONAL))
@@ -345,3 +372,69 @@ class TestCrossingReport:
             crossing_report(3, 1.0, tol=1e-6)
         with pytest.raises(ValueError):
             crossing_report(3, 0.5, tol=0.0)
+
+    @pytest.mark.parametrize("k", [-1, 2.5, 3.0, "3", True, None])
+    def test_rejects_k_that_is_not_a_non_negative_integer(self, k):
+        with pytest.raises(ValueError, match="k must be"):
+            crossing_report(k, 0.5, tol=1e-6)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_rejects_non_finite_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be"):
+            crossing_report(3, 0.5, tol=tol)
+
+    def test_accepts_numpy_integer_k(self):
+        assert crossing_report(np.int64(3), 0.5, tol=1e-6) == crossing_report(3, 0.5, tol=1e-6)
+
+    def test_seeded_wells_match_all_pairs(self):
+        rng = random.Random(20261018)
+        for _ in range(24):
+            k = rng.randrange(0, 41)
+            eps = rng.uniform(1e-3, 1.0 - 1e-3)
+            tol = 10.0 ** rng.uniform(-9.0, -0.2)
+            assert crossing_report(k, eps, tol) == crossing_report_pairs(k, eps, tol)
+
+    @pytest.mark.parametrize("eps", [1 / 2, 1 / 4, 3 / 8, 1 / 3])
+    @pytest.mark.parametrize("k", [3, 17, 40])
+    def test_rational_epsilon_on_crossings_matches_all_pairs(self, k, eps):
+        for tol in (1e-9, 1e-6):
+            got = crossing_report(k, eps, tol)
+            assert got == crossing_report_pairs(k, eps, tol)
+        if k == 40:
+            # every one of these epsilons is an exact crossing point at k = 40
+            assert got
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-4, 0.05, 0.5, 0.9, 2.0])
+    def test_windows_past_the_unit_interval_match_all_pairs(self, tol):
+        for k, eps in ((0, 0.5), (1, 0.5), (1, 0.01), (2, 0.99), (12, 0.05), (25, 0.93)):
+            assert crossing_report(k, eps, tol) == crossing_report_pairs(k, eps, tol)
+
+    def test_k_one_reports_its_only_possible_crossings(self):
+        # keys (0,0), (1,1), (2,2): all three pairs cross at eps = -1/2,
+        # outside (0, 1); a window of half-width 2 around 0.5 reaches it
+        assert crossing_report(1, 0.5, tol=0.9) == []
+        wide = crossing_report(1, 0.5, tol=2.0)
+        assert wide == crossing_report_pairs(1, 0.5, tol=2.0)
+        assert len(wide) == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(min_value=0, max_value=30),
+        eps=st.one_of(
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+            st.fractions(min_value=Fraction(1, 16), max_value=Fraction(15, 16), max_denominator=16).map(float),
+        ),
+        tol=st.floats(min_value=1e-12, max_value=1.0),
+    )
+    def test_property_matches_all_pairs(self, k, eps, tol):
+        assert crossing_report(k, eps, tol) == crossing_report_pairs(k, eps, tol)
+
+    def test_deep_well_memory_stays_linear(self):
+        # the all-pairs scan would need about 10 GiB here
+        tracemalloc.start()
+        try:
+            crossing_report(200, 0.3717, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20

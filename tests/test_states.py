@@ -13,6 +13,7 @@ from morsekit import (
     MixingCoefficients,
     MorseBasis,
     MuState,
+    QuadratureAccuracyError,
     QuadratureConfig,
     ScalarField2D,
     build_mu_basis,
@@ -353,6 +354,16 @@ class TestOverlap:
         basis = MorseBasis(decompose("9", "integer"))
         with pytest.raises(ValueError):
             overlap(basis, MuState(0, 9, 9), MuState(0, 9, 9))
+
+    def test_untrustworthy_rule_raises_with_its_numbers(self, basis_3pi, mu_3pi):
+        bad = QuadratureConfig(points_per_axis=4, panels=1)
+        state = mu_3pi.states[18]
+        with pytest.raises(QuadratureAccuracyError) as info:
+            overlap(basis_3pi, state, state, quad=bad)
+        err = info.value
+        assert (err.quantity, err.tol, err.rule) == ("overlap", 1e-7, bad)
+        assert err.delta > err.tol
+        assert str(err) == f"overlap moved by {err.delta:.3e} under refinement (rule 4x1)"
 
 
 class TestGramMatrix:
