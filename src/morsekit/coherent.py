@@ -158,8 +158,11 @@ def log_bg_residual(state: CoherentState, ladder: LadderSpectrum) -> float:
     Acting with the lowering operator reproduces Psi times the state except
     for one boundary term of magnitude |Psi|^(xi+1) / sqrt([f(xi)]! N(Psi)).
     Its log stays finite where the magnitude itself underflows (k = 30,
-    Psi = 2 gives about -1395); it is -inf for Psi = 0.
+    Psi = 2 gives about -1395); it is -inf for Psi = 0.  A ladder whose rung
+    count differs from the state's raises ValueError.
     """
+    if ladder.xi != state.xi:
+        raise ValueError(f"ladder has {ladder.xi + 1} rungs but the state has {state.xi + 1} levels")
     if state.psi == 0.0:
         return -math.inf
     return float(
@@ -182,43 +185,31 @@ def bg_residual_direct(state: CoherentState, ladder: LadderSpectrum, dps: int | 
     """Truncation residual from the ladder action itself, in high precision.
 
     Recomputes the coefficients, applies the lowering operator term by term
-    and measures || A- |Psi> - Psi |Psi> || with mpmath.  The working
-    precision is chosen from the closed-form estimate so the subtraction
-    keeps significant digits; doubles alone lose the residual entirely in
-    cancellation noise.
+    and measures || A- |Psi> - Psi |Psi> || with mpmath.  Rung n of both
+    vectors carries the phase e^(i (n+1) arg Psi), so only the magnitudes
+    e_n = exp(h_n - max h), h_n = n ln|Psi| - ln([f(n)]!) / 2, enter.  The
+    working precision is chosen from the closed-form estimate so the
+    subtraction keeps significant digits; doubles alone lose the residual
+    entirely in cancellation noise.
     """
+    estimate = log_bg_residual(state, ladder) / math.log(10.0)  # also checks the ladder
     if state.psi == 0.0:
         return 0.0
     if dps is None:
-        estimate = (
-            (state.xi + 1) * math.log10(abs(state.psi))
-            - (0.5 * ladder.log_factorials[-1] + 0.5 * state.log_normalization) / math.log(10.0)
-        )
         dps = 40 + max(0, -int(math.floor(estimate)))
     with mpmath.workdps(dps):
-        psi = mpmath.mpc(state.psi)
-        apsi = abs(psi)
-        log_fact = [mpmath.mpf(0)]
-        for value in ladder.f[1:]:
-            log_fact.append(log_fact[-1] + mpmath.log(mpmath.mpf(value)))
+        apsi = abs(mpmath.mpc(state.psi))
         log_apsi = mpmath.log(apsi)
-        phase = mpmath.arg(psi)
-        terms = [2 * i * log_apsi - log_fact[i] for i in range(state.xi + 1)]
-        top = max(terms)
-        norm = top + mpmath.log(mpmath.fsum(mpmath.exp(t - top) for t in terms))
-        coeff = [
-            mpmath.exp(i * log_apsi - log_fact[i] / 2 - norm / 2) * mpmath.exp(1j * i * phase)
-            for i in range(state.xi + 1)
-        ]
-        # lowering action: (A- c)[i] = sqrt(f(i+1)) c[i+1], zero at the top rung
-        lowered = [
-            mpmath.sqrt(mpmath.mpf(ladder.f[i + 1])) * coeff[i + 1] if i < state.xi else mpmath.mpc(0)
-            for i in range(state.xi + 1)
-        ]
-        residual = mpmath.sqrt(
-            mpmath.fsum(abs(lowered[i] - psi * coeff[i]) ** 2 for i in range(state.xi + 1))
-        )
-        return float(residual)
+        log_fact, h = mpmath.mpf(0), [mpmath.mpf(0)]
+        for n, value in enumerate(ladder.f[1:].tolist(), start=1):
+            log_fact += mpmath.log(value)
+            h.append(n * log_apsi - log_fact / 2)
+        top = max(h)
+        e = [mpmath.exp(t - top) for t in h]
+        # (A- c)_n = sqrt(f(n+1)) c_{n+1}, zero at the top rung
+        gaps = [mpmath.sqrt(f) * hi - apsi * lo for f, lo, hi in zip(ladder.f[1:].tolist(), e, e[1:])]
+        gaps.append(apsi * e[-1])
+        return float(mpmath.sqrt(mpmath.fdot(gaps, gaps) / mpmath.fdot(e, e)))
 
 
 @dataclass(frozen=True)

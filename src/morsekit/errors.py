@@ -14,9 +14,8 @@ class OrderingAmbiguityError(MorsekitError):
 
     Raised when the exact-arithmetic tie-break cannot separate two levels,
     which means the declared arithmetic type of p is inconsistent with the
-    requested total order.  ``keys`` holds the two tied LevelKeys (None when
-    the level count itself is wrong); ``p_text`` and ``mode`` are the
-    declared principal parameter.
+    requested total order.  ``keys`` holds the two tied LevelKeys;
+    ``p_text`` and ``mode`` are the declared principal parameter.
     """
 
     def __init__(self, message: str, *, keys=None, p_text: str | None = None, mode: str | None = None):
@@ -30,8 +29,11 @@ class QuadratureAccuracyError(MorsekitError):
     """A quadrature result changed too much under refinement to be trusted.
 
     ``quantity`` names the value that moved, ``delta`` is how far it moved
-    between ``rule`` (a QuadratureConfig) and its refinement, and ``tol`` is
-    the absolute limit it exceeded.
+    and ``tol`` is the absolute limit it exceeded.  ``rule`` is the rule
+    that was refined: for moments the QuadratureConfig whose doubled rule
+    disagreed; for the Gauss-Laguerre overlap table the pair
+    (nodes, alpha) of the rule checked against the same alpha with 8 more
+    nodes.
     """
 
     def __init__(self, message: str, *, quantity: str | None = None, delta: float | None = None,

@@ -3,8 +3,8 @@
 Everything here is written to survive deep wells (principal parameter of a
 few hundred), where Gamma factors and Laguerre values overflow double
 precision by thousands of orders of magnitude.  The public entry points are
-``log_gamma``, ``laguerre``, ``laguerre_derivative`` and
-``laguerre_signed_log``.  Only numpy and the standard library are needed.
+``log_gamma`` and ``laguerre_signed_log``.  Only numpy and the standard
+library are needed.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import numpy as np
 
 __all__ = [
     "log_gamma",
-    "laguerre",
-    "laguerre_derivative",
     "laguerre_signed_log",
 ]
 
@@ -116,41 +114,14 @@ def log_gamma(x):
     return np.array([_lgam(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
 
 
-def laguerre(n: int, alpha: float, x):
-    """Generalized Laguerre polynomial L_n^alpha(x) by the stable upward recurrence.
-
-    j L_j = (2j - 1 + alpha - x) L_{j-1} - (j - 1 + alpha) L_{j-2},
-    seeded with L_0 = 1 and L_1 = 1 + alpha - x.  Values can overflow for
-    large n and x; use ``laguerre_signed_log`` when that matters.
-    """
-    if n < 0:
-        raise ValueError("polynomial degree must be non-negative")
-    if alpha <= -1.0:
-        raise ValueError("alpha must exceed -1 for an orthogonal family")
-    arr, scalar = _prepare(x)
-    prev = np.zeros_like(arr)
-    cur = np.ones_like(arr)
-    for j in range(1, n + 1):
-        prev, cur = cur, ((2.0 * j - 1.0 + alpha - arr) * cur - (j - 1.0 + alpha) * prev) / j
-    return float(cur) if scalar else cur
-
-
-def laguerre_derivative(n: int, alpha: float, x):
-    """d/dx L_n^alpha(x) = -L_{n-1}^{alpha+1}(x), with the n = 0 case zero."""
-    arr, scalar = _prepare(x)
-    if n == 0:
-        out = np.zeros_like(arr)
-        return float(out) if scalar else out
-    out = -laguerre(n - 1, alpha + 1.0, arr)
-    return float(out) if scalar else out
-
-
 def laguerre_signed_log(n: int, alpha: float, x) -> tuple[np.ndarray, np.ndarray]:
     """Sign and log of |L_n^alpha(x)|, immune to overflow.
 
-    Runs the same three-term recurrence as ``laguerre`` but rescales both
-    running values by an exact power of two whenever they threaten the top
-    of the double range, accumulating the shed magnitude in log space.
+    Runs the upward recurrence
+    j L_j = (2j - 1 + alpha - x) L_{j-1} - (j - 1 + alpha) L_{j-2} from
+    L_0 = 1, and rescales both running values by an exact power of two
+    whenever they threaten the top of the double range, accumulating the
+    shed magnitude in log space.
 
     Returns ``(sign, log_abs)`` as float arrays (scalars in, scalars out);
     ``log_abs`` is ``-inf`` where the polynomial vanishes exactly.

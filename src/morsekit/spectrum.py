@@ -438,13 +438,6 @@ def order_spectrum(param: PrincipalParameter) -> OrderedSpectrum:
         records.sort(key=lambda rec: -(rec.key.a * q + 2 * r * rec.key.b))
     else:
         records = _resolve_float_ties(param, records)
-        expected = (param.k + 1) * (param.k + 2) // 2
-        if len(records) != expected:
-            raise OrderingAmbiguityError(
-                f"irrational mode produced {len(records)} levels where "
-                f"{expected} were expected; the declared mode is inconsistent",
-                p_text=param.p_text, mode=param.mode,
-            )
     return OrderedSpectrum(param, tuple(records), len(records) - 1)
 
 

@@ -45,8 +45,8 @@ __all__ = [
     "gram_matrix",
 ]
 
-# Overlap of any state with itself must be quadrature-stable to this level.
-_REFINEMENT_TOL = 1.0e-7
+# The overlap table may move by at most _TABLE_TOL when _CHECK_NODES nodes are added.
+_TABLE_TOL, _CHECK_NODES = 1.0e-7, 8
 
 # 1D density below this fraction of its peak counts as outside the support.
 _SUPPORT_CUT = 1.0e-14
@@ -236,6 +236,30 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _gauss_laguerre(nodes: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes z_i and log weights ln w_i of the rule for z^alpha e^(-z) on (0, inf).
+
+    The rule is exact for polynomials of degree below 2 * nodes.  Nodes are
+    the eigenvalues of the Jacobi matrix (Golub & Welsch, Math. Comp. 23,
+    1969), polished by three Newton steps on L_N^alpha.  The weights
+    w_i = Gamma(N+alpha+1) z_i / (N! (N+1)^2 L_{N+1}^alpha(z_i)^2) are kept as
+    logs because they underflow far out in the tail.
+    """
+    j = np.arange(1, nodes)
+    off = np.sqrt(j * (j + alpha))
+    # eigvalsh reads only the lower triangle of the symmetric tridiagonal matrix
+    z = np.linalg.eigvalsh(np.diag(2.0 * np.arange(nodes) + alpha + 1.0) + np.diag(off, -1))
+    for _ in range(3):
+        # z - L_N / L_N' with L_N' = -L_{N-1}^(alpha+1); exact roots stay put
+        sign, log_value = laguerre_signed_log(nodes, alpha, z)
+        slope_sign, log_slope = laguerre_signed_log(nodes - 1, alpha + 1.0, z)
+        live = sign * slope_sign != 0.0
+        z = z + sign * slope_sign * np.exp(np.where(live, log_value - log_slope, -np.inf))
+    _, log_next = laguerre_signed_log(nodes + 1, alpha, z)
+    log_w = log_gamma(nodes + alpha + 1.0) - log_gamma(nodes + 1.0) - 2.0 * math.log(nodes + 1.0)
+    return z, log_w + np.log(z) - 2.0 * log_next
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Composite Gauss-Legendre rule: points_per_axis nodes split into equal panels."""
@@ -337,6 +361,7 @@ class MorseBasis:
         self.k = principal.k
         self._boxes: dict = {}
         self._tables: dict = {}
+        self._overlap: np.ndarray | None = None
 
     # -- mode bookkeeping ---------------------------------------------------
 
@@ -481,6 +506,44 @@ class MorseBasis:
 
     # -- quadrature tables ----------------------------------------------------
 
+    def overlap_table(self) -> np.ndarray:
+        """Exact 1D overlaps S[n, m] = <phi_n | phi_m>, cached; rows of unbound modes are zero.
+
+        In z = nu exp(-beta x), phi_n phi_m dx is z^alpha e^(-z) / beta times a
+        polynomial of degree <= 2K (K the top bound mode, alpha = nu - 2K - 2),
+        so the Gauss-Laguerre rule with K + 1 nodes is exact.  The table is
+        checked once, when it is built, against 8 more nodes and raises
+        QuadratureAccuracyError if an entry moves by more than 1e-7.
+        """
+        if self._overlap is None:
+            top = self.bound_modes()[-1]
+            nodes, alpha = top + 1, self.nu - 2.0 * top - 2.0
+            rows = self._overlap_rows(nodes, alpha)
+            check = self._overlap_rows(nodes + _CHECK_NODES, alpha)
+            s = rows @ rows.T
+            delta = float(np.abs(s - check @ check.T).max())
+            if delta > _TABLE_TOL:
+                raise QuadratureAccuracyError(
+                    f"overlap table moved by {delta:.3e} from {nodes} to "
+                    f"{nodes + _CHECK_NODES} Gauss-Laguerre nodes (alpha = {alpha!r})",
+                    quantity="overlap table", delta=delta, tol=_TABLE_TOL, rule=(nodes, alpha),
+                )
+            self._overlap = s
+        return self._overlap
+
+    def _overlap_rows(self, nodes: int, alpha: float) -> np.ndarray:
+        # h_n(z_i) = sqrt(w_i) N_n / sqrt(beta) z_i^(K-n) L_n^(2(p-n))(z_i), so that
+        # S = H H^T.  Each |h_n(z_i)| <= 1 because sum_i h_n(z_i)^2 = S[n, n].
+        modes = self.bound_modes()
+        z, log_w = _gauss_laguerre(nodes, alpha)
+        log_z = np.log(z)
+        rows = np.zeros((self.k + 1, z.size))
+        for n in modes:
+            sign, log_lag = laguerre_signed_log(n, 2.0 * (self.p - n), z)
+            log_scale = self.log_norm_1d(n) - 0.5 * math.log(self.beta)
+            rows[n] = sign * np.exp(0.5 * log_w + log_scale + (modes[-1] - n) * log_z + log_lag)
+        return rows
+
     def mode_tables(self, quad: QuadratureConfig, box: tuple[float, float] | None = None) -> ModeTables:
         """All 1D matrices needed for overlaps and moments, cached per rule and box."""
         if box is None:
@@ -579,40 +642,22 @@ def density_grid(basis: MorseBasis, state, grid: GridSpec | None = None, default
     return ScalarField2D(grid, np.abs(amplitude) ** 2)
 
 
-def _braket(c1: np.ndarray, c2: np.ndarray, ax: np.ndarray, ay: np.ndarray) -> complex:
-    # <s1| A_x B_y |s2> = sum conj(C1)[a,b] C2[c,d] Ax[a,c] Ay[b,d]
-    return complex(np.einsum("ab,cd,ac,bd->", np.conj(c1), c2, ax, ay, optimize=True))
-
-
 def overlap(basis: MorseBasis, state_a, state_b, quad: QuadratureConfig | None = None) -> complex:
-    """<state_a | state_b> by tensor-product quadrature, with a refinement check.
+    """<state_a | state_b> = sum conj(C_a) * (S C_b S^T) on ``MorseBasis.overlap_table``.
 
-    The value is recomputed on a doubled rule; if the two differ by more than
-    1e-7 the quadrature cannot be trusted and QuadratureAccuracyError is
-    raised.  The refined value is returned.
+    ``quad`` is unused and kept so that existing calls keep working.
     """
-    quad = quad or QuadratureConfig()
     dim = basis.k + 1
     c1 = _coefficient_matrix(state_a, dim)
     c2 = _coefficient_matrix(state_b, dim)
     basis._check_matrix_modes(c1)
     basis._check_matrix_modes(c2)
-    coarse = basis.mode_tables(quad)
-    fine = basis.mode_tables(quad.refined())
-    v_coarse = _braket(c1, c2, coarse.overlap_1d, coarse.overlap_1d)
-    v_fine = _braket(c1, c2, fine.overlap_1d, fine.overlap_1d)
-    delta = abs(v_fine - v_coarse)
-    if delta > _REFINEMENT_TOL:
-        raise QuadratureAccuracyError(
-            f"overlap moved by {delta:.3e} under refinement "
-            f"(rule {quad.points_per_axis}x{quad.panels})",
-            quantity="overlap", delta=delta, tol=_REFINEMENT_TOL, rule=quad,
-        )
-    return v_fine
+    s = basis.overlap_table()
+    return complex(np.vdot(c1, s @ c2 @ s.T))
 
 
 def gram_matrix(basis: MorseBasis, states, quad: QuadratureConfig | None = None) -> np.ndarray:
-    """Matrix of pairwise overlaps <s_i | s_j> on the refined rule.
+    """Matrix of pairwise overlaps <s_i | s_j> on the exact overlap table.
 
     Each state's nonzero terms sum_p v_p |a_p, b_p> are cut into pairs (a
     zero-weight term pads an odd count).  The overlaps of all pairs, sum of
@@ -620,13 +665,11 @@ def gram_matrix(basis: MorseBasis, states, quad: QuadratureConfig | None = None)
     each state's rows and columns are then summed.  A level state is one
     pair, so L level states need O(L^2) memory and no per-pair Python loop.
 
-    Unlike ``overlap`` there is no refinement check: the coarse rule is off
-    by more than 1e-7 on wells where the refined G is within 1e-10 of the
-    identity (2e-7 at k = 24, 3e-3 at k = 35).  Known defect: max|G - I|
-    exceeds 1e-7 near k = 45 and at small eps, and nothing raises.
+    S is ``MorseBasis.overlap_table``; level states give max|G - I| below
+    1e-10 at k = 45 and 60, eps down to 0.01.  ``quad`` is unused and kept
+    so that existing calls keep working.
     """
-    quad = quad or QuadratureConfig()
-    s = basis.mode_tables(quad.refined()).overlap_1d
+    s = basis.overlap_table()
     states = list(states)
     rows, cols, vals, owner = [], [], [], []
     for i, state in enumerate(states):

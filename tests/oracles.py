@@ -1,19 +1,84 @@
 """Reference implementations that the vectorized library code is tested against.
 
-These are the straightforward loops the library used before it was
-vectorized; they are slow but their arithmetic is easy to audit.
+These are the straightforward loops and complex-arithmetic forms the library
+used before it was vectorized or simplified; they are slow but their
+arithmetic is easy to audit.
 """
 
+import math
+
+import mpmath
 import numpy as np
 
-from morsekit import Crossing, QuadratureConfig, level_key
+from morsekit import Crossing, level_key
 
 
-def gram_matrix_loop(basis, states, quad=None):
+def laguerre(n, alpha, x):
+    """Generalized Laguerre polynomial L_n^alpha(x) by the upward recurrence.
+
+    j L_j = (2j - 1 + alpha - x) L_{j-1} - (j - 1 + alpha) L_{j-2},
+    seeded with L_0 = 1 and L_1 = 1 + alpha - x.
+    """
+    if n < 0:
+        raise ValueError("polynomial degree must be non-negative")
+    if alpha <= -1.0:
+        raise ValueError("alpha must exceed -1 for an orthogonal family")
+    arr = np.asarray(x, dtype=float)
+    prev = np.zeros_like(arr)
+    cur = np.ones_like(arr)
+    for j in range(1, n + 1):
+        prev, cur = cur, ((2.0 * j - 1.0 + alpha - arr) * cur - (j - 1.0 + alpha) * prev) / j
+    return float(cur) if arr.ndim == 0 else cur
+
+
+def laguerre_derivative(n, alpha, x):
+    """d/dx L_n^alpha(x) = -L_{n-1}^{alpha+1}(x), with the n = 0 case zero."""
+    if n == 0:
+        out = np.zeros_like(np.asarray(x, dtype=float))
+        return float(out) if out.ndim == 0 else out
+    return -laguerre(n - 1, alpha + 1.0, x)
+
+
+def bg_residual_direct_complex(state, ladder, dps=None):
+    """bg_residual_direct on the complex coefficients, phases and all."""
+    if state.psi == 0.0:
+        return 0.0
+    if dps is None:
+        estimate = (
+            (state.xi + 1) * math.log10(abs(state.psi))
+            - (0.5 * ladder.log_factorials[-1] + 0.5 * state.log_normalization) / math.log(10.0)
+        )
+        dps = 40 + max(0, -int(math.floor(estimate)))
+    with mpmath.workdps(dps):
+        psi = mpmath.mpc(state.psi)
+        apsi = abs(psi)
+        log_fact = [mpmath.mpf(0)]
+        for value in ladder.f[1:]:
+            log_fact.append(log_fact[-1] + mpmath.log(mpmath.mpf(value)))
+        log_apsi = mpmath.log(apsi)
+        phase = mpmath.arg(psi)
+        terms = [2 * i * log_apsi - log_fact[i] for i in range(state.xi + 1)]
+        top = max(terms)
+        norm = top + mpmath.log(mpmath.fsum(mpmath.exp(t - top) for t in terms))
+        coeff = [
+            mpmath.exp(i * log_apsi - log_fact[i] / 2 - norm / 2) * mpmath.exp(1j * i * phase)
+            for i in range(state.xi + 1)
+        ]
+        # lowering action: (A- c)[i] = sqrt(f(i+1)) c[i+1], zero at the top rung
+        lowered = [
+            mpmath.sqrt(mpmath.mpf(ladder.f[i + 1])) * coeff[i + 1] if i < state.xi else mpmath.mpc(0)
+            for i in range(state.xi + 1)
+        ]
+        residual = mpmath.sqrt(
+            mpmath.fsum(abs(lowered[i] - psi * coeff[i]) ** 2 for i in range(state.xi + 1))
+        )
+        return float(residual)
+
+
+def gram_matrix_loop(basis, states):
     """<s_i | s_j> as one vdot of C_i against S C_j S^T per state pair."""
-    quad = quad or QuadratureConfig()
     dim = basis.k + 1
-    s = basis.mode_tables(quad.refined()).overlap_1d
+    s = basis.overlap_table()
     mats = [state.coefficient_matrix(dim) for state in states]
     transformed = [s @ c @ s.T for c in mats]
     g = np.empty((len(mats), len(mats)), dtype=complex)

@@ -1,11 +1,12 @@
 """Coherent states over the level ladder: coefficients, residuals, moments."""
 
 import math
+import random
 
 import mpmath
 import numpy as np
 import pytest
-from oracles import coherent_coefficient_matrix_sum
+from oracles import bg_residual_direct_complex, coherent_coefficient_matrix_sum
 from scipy.integrate import quad as scipy_quad
 from scipy.special import logsumexp
 
@@ -204,6 +205,30 @@ class TestResidual:
         ladder = ladder_f(spectrum)
         state = coherent_coefficients(psi, ladder, build_mu_basis(spectrum))
         assert bg_residual_direct(state, ladder) == expected
+        assert bg_residual_direct_complex(state, ladder) == expected
+
+    def test_direct_residual_equals_complex_oracle(self):
+        # the magnitude form drops phases that cancel term by term; at the
+        # chosen precision both round to the same double
+        rng = random.Random("bg_residual_direct")
+        for _ in range(50):
+            k = rng.randint(0, 30)
+            # an odd last digit keeps eps off every crossing point, so the order is strict
+            spectrum = order_spectrum(decompose(f"{k}.{rng.randrange(1, 10**12, 2):012d}", "irrational"))
+            ladder = ladder_f(spectrum)
+            psi = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 10 ** rng.uniform(0.5, 1.5)
+            state = coherent_coefficients(psi, ladder, build_mu_basis(spectrum))
+            assert bg_residual_direct(state, ladder) == bg_residual_direct_complex(state, ladder)
+
+    def test_ladder_of_another_well_is_rejected(self, ladder_3pi, mu_3pi):
+        # the k = 12 ladder has 91 rungs, the 3 pi state 55 levels; read
+        # together they would give a log residual near -213.4
+        state = coherent_coefficients(1.5, ladder_3pi, mu_3pi)
+        assert log_bg_residual(state, ladder_3pi) == pytest.approx(-103.4596, abs=1e-4)
+        other = ladder_f(order_spectrum(decompose("12.3717", "irrational")))
+        for check in (log_bg_residual, bg_residual, bg_residual_direct):
+            with pytest.raises(ValueError, match="ladder has 91 rungs but the state has 55 levels"):
+                check(state, other)
 
     def test_residual_grows_with_amplitude(self, ladder_3pi, mu_3pi):
         values = [

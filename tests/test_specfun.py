@@ -5,13 +5,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from oracles import laguerre, laguerre_derivative
 from scipy.special import gammaln
 
 from morsekit import (
     MorseBasis,
     decompose,
-    laguerre,
-    laguerre_derivative,
     laguerre_signed_log,
     log_gamma,
     pi_multiple_text,

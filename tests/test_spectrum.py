@@ -36,7 +36,6 @@ from morsekit import (
     scaled_energy,
     shifted_energy,
 )
-from morsekit import spectrum
 
 
 class TestPhysicalParams:
@@ -323,19 +322,19 @@ class TestOrderSpectrum:
             "p = 3.5; the declared mode 'irrational' does not admit a strict order here"
         )
 
-    def test_level_count_mismatch_raises_without_keys(self, monkeypatch):
-        param = decompose("3.3", IRRATIONAL)
-        levels = enumerate_levels(param)
-        monkeypatch.setattr(spectrum, "enumerate_levels", lambda param: levels[:-1])
-        with pytest.raises(OrderingAmbiguityError) as info:
-            order_spectrum(param)
-        err = info.value
-        assert err.keys is None
-        assert (err.p_text, err.mode) == ("3.3", IRRATIONAL)
-        assert str(err) == (
-            "irrational mode produced 9 levels where 10 were expected; "
-            "the declared mode is inconsistent"
-        )
+    @pytest.mark.deep
+    @settings(max_examples=25, deadline=None)
+    @given(
+        k=st.integers(min_value=0, max_value=200),
+        digits=st.integers(min_value=10**6, max_value=10**20 - 10**6).filter(lambda d: d % 10),
+    )
+    def test_property_irrational_level_count(self, k, digits):
+        # eps = d / 10^20 with d % 10 != 0 cannot meet a tie a + 2 eps b = a' + 2 eps b'
+        # for |b - b'| <= 2k <= 400, so every key is its own level.  eps stays
+        # 1e-14 away from 0 and 1, where decompose rejects the text.
+        spec = order_spectrum(decompose(f"{k}.{digits:020d}", IRRATIONAL))
+        assert len(spec.levels) == (k + 1) * (k + 2) // 2
+        assert spec.xi == len(spec.levels) - 1
 
     def test_rational_mode_handles_the_same_value(self):
         spec = order_spectrum(decompose("3.5", RATIONAL))

@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import gram_matrix_loop
 from scipy.integrate import quad as scipy_quad
 
@@ -13,6 +15,7 @@ from morsekit import (
     MixingCoefficients,
     MorseBasis,
     MuState,
+    PhysicalParams,
     QuadratureAccuracyError,
     QuadratureConfig,
     ScalarField2D,
@@ -20,6 +23,7 @@ from morsekit import (
     coherent_coefficients,
     decompose,
     density_grid,
+    depth_for_principal,
     eigenfunction,
     gram_matrix,
     ladder_f,
@@ -28,6 +32,7 @@ from morsekit import (
     order_spectrum,
     overlap,
 )
+from morsekit import states
 
 
 @pytest.fixture(scope="module")
@@ -355,15 +360,83 @@ class TestOverlap:
         with pytest.raises(ValueError):
             overlap(basis, MuState(0, 9, 9), MuState(0, 9, 9))
 
-    def test_untrustworthy_rule_raises_with_its_numbers(self, basis_3pi, mu_3pi):
-        bad = QuadratureConfig(points_per_axis=4, panels=1)
+    def test_quad_argument_is_accepted_and_unused(self, basis_3pi, mu_3pi):
         state = mu_3pi.states[18]
+        coarse = QuadratureConfig(points_per_axis=4, panels=1)
+        assert overlap(basis_3pi, state, state, quad=coarse) == overlap(basis_3pi, state, state)
+
+
+def _deviation_from_identity(s, size):
+    return float(np.abs(s - np.eye(size)).max())
+
+
+class TestOverlapTable:
+    """MorseBasis.overlap_table: the Gauss-Laguerre rule with K + 1 nodes is exact."""
+
+    def test_matches_composite_rule_at_reference_well(self, basis_3pi):
+        # an independent rule: graded composite Gauss-Legendre in x, 800 nodes
+        composite = basis_3pi.mode_tables(QuadratureConfig().refined()).overlap_1d
+        assert np.max(np.abs(basis_3pi.overlap_table() - composite)) <= 1e-10
+        assert basis_3pi.overlap_table() is basis_3pi.overlap_table()
+
+    @pytest.mark.deep
+    @settings(max_examples=12, deadline=None)
+    @given(
+        k=st.integers(min_value=0, max_value=200),
+        eps=st.floats(min_value=0.01, max_value=0.99),
+    )
+    def test_property_identity(self, k, eps):
+        basis = MorseBasis(decompose(f"{k}.{round(eps * 10**12):012d}", "irrational"))
+        assert _deviation_from_identity(basis.overlap_table(), k + 1) <= 1e-9
+
+    @pytest.mark.parametrize("text", ["9", pytest.param("150", marks=pytest.mark.deep)])
+    def test_integer_well_leaves_top_mode_out(self, text):
+        # nu - (2k + 1) = 0: the top mode is unbound, K = k - 1 and alpha = 1
+        basis = MorseBasis(decompose(text, "integer"))
+        s = basis.overlap_table()
+        k = basis.k
+        assert basis.bound_modes()[-1] == k - 1
+        assert _deviation_from_identity(s[:k, :k], k) <= 1e-10
+        assert not np.any(s[k]) and not np.any(s[:, k])
+
+    def test_physical_well_with_range_parameter(self):
+        # beta = 2.5 enters both N_n^2 and dx = -dz / (beta z); a slip shows as S = beta I
+        depth = depth_for_principal(12.3717, mass=1.7, beta=2.5, hbar=0.8)
+        basis = MorseBasis(decompose("12.3717", "irrational"), PhysicalParams(1.7, depth, 2.5, 0.8))
+        s = basis.overlap_table()
+        assert _deviation_from_identity(s, 13) <= 1e-12
+        composite = basis.mode_tables(QuadratureConfig().refined()).overlap_1d
+        assert np.max(np.abs(s - composite)) <= 1e-9
+
+    @pytest.mark.parametrize("text", ["45.0123", "45.618", "60.0271"])
+    def test_gram_identity_where_the_composite_rule_failed(self, text):
+        # wells where the refined composite rule is off by 4.9e-7 (k = 45) and 2.5e-3 (k = 60)
+        param = decompose(text, "irrational")
+        mu = build_mu_basis(order_spectrum(param))
+        g = gram_matrix(MorseBasis(param), mu.states)
+        assert _deviation_from_identity(g, len(mu.states)) <= 1e-10
+
+    def test_failed_check_raises_with_its_numbers(self, p3pi, monkeypatch):
+        # three nodes short of K + 1, the rule is no longer exact and the
+        # N + 8 check catches it
+        exact = states._gauss_laguerre
+        monkeypatch.setattr(states, "_gauss_laguerre", lambda nodes, alpha: exact(nodes - 3, alpha))
+        basis = MorseBasis(p3pi)
+        alpha = basis.nu - 20.0
         with pytest.raises(QuadratureAccuracyError) as info:
-            overlap(basis_3pi, state, state, quad=bad)
+            basis.overlap_table()
         err = info.value
-        assert (err.quantity, err.tol, err.rule) == ("overlap", 1e-7, bad)
+        assert (err.quantity, err.tol, err.rule) == ("overlap table", 1e-7, (10, alpha))
         assert err.delta > err.tol
-        assert str(err) == f"overlap moved by {err.delta:.3e} under refinement (rule 4x1)"
+        assert str(err) == (
+            f"overlap table moved by {err.delta:.3e} from 10 to 18 Gauss-Laguerre nodes "
+            f"(alpha = {alpha!r})"
+        )
+        state = MuState(0, 0, 0)
+        with pytest.raises(QuadratureAccuracyError):
+            overlap(basis, state, state)
+        with pytest.raises(QuadratureAccuracyError):
+            gram_matrix(basis, [state])
 
 
 class TestGramMatrix:
