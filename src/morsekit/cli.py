@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,7 +38,7 @@ _CONFIG_KEYS = (
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
         prog="morsekit",
         description="Bound-state spectra, level states and coherent states of the 2D Morse well.",
@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help="arithmetic declaration: integer | irrational | rational[:R/Q] "
             "(pi-style --p implies irrational)",
         )
-        p.add_argument("--out", help="output directory (default '.')")
+        p.add_argument("--out", default=".", help="output directory (default '.')")
         p.add_argument("--format", help="comma-separated subset of csv,json,pgm (default all)")
         p.add_argument("--config", help="JSON file with defaults for any flag; flags win")
 
@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--delta", help="doublet coefficient, same forms as --gamma")
 
     def add_grid(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--grid", help="grid size NXxNY (default 400x400)")
+        p.add_argument("--grid", default="400x400", help="grid size NXxNY (default 400x400)")
         p.add_argument("--xrange", help="x interval LO:HI (default: scanned support box)")
         p.add_argument("--yrange", help="y interval LO:HI (default: scanned support box)")
 
@@ -84,41 +84,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p_unc = sub.add_parser("uncertainty", help="position/momentum uncertainty sweep")
     add_common(p_unc)
     add_state(p_unc)
-    p_unc.add_argument("--psi-start", help="first amplitude (default 0.1)")
-    p_unc.add_argument("--psi-stop", help="last amplitude (default 5.0)")
-    p_unc.add_argument("--psi-step", help="amplitude step (default 0.1)")
+    p_unc.add_argument("--psi-start", default=0.1, help="first amplitude (default 0.1)")
+    p_unc.add_argument("--psi-stop", default=5.0, help="last amplitude (default 5.0)")
+    p_unc.add_argument("--psi-step", default=0.1, help="amplitude step (default 0.1)")
     p_unc.set_defaults(func=cmd_uncertainty)
 
-    return parser
+    return parser, sub.choices
 
 
 class UsageError(ValueError):
     """Bad flag or config value; maps to exit code 2."""
 
 
-def _load_config(args) -> dict:
-    if getattr(args, "config", None) is None:
-        return {}
+def _load_config(path) -> dict:
+    """Config-file values to use as parser defaults; null values fall back to the built-ins."""
     try:
-        doc = json.loads(Path(args.config).read_text())
+        doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config file {args.config}: {exc}")
+        raise UsageError(f"cannot read config file {path}: {exc}")
     if not isinstance(doc, dict):
         raise UsageError("config file must hold a JSON object")
     unknown = sorted(set(doc) - set(_CONFIG_KEYS))
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-    return doc
-
-
-def _pick(args, config: dict, key: str, default=None):
-    # precedence: explicit flag > config file > built-in default
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config and config[key] is not None:
-        return config[key]
-    return default
+    return {key: value for key, value in doc.items() if value is not None}
 
 
 def _parse_principal(p_raw, mode_raw):
@@ -174,27 +163,25 @@ def _parse_complex(text, flag: str) -> complex:
         raise UsageError(f"cannot parse {flag} value {text!r}: {exc}")
 
 
-def _parse_mixing(args, config: dict):
+def _parse_mixing(args):
     from .states import MixingCoefficients
 
-    gamma = _pick(args, config, "gamma")
-    delta = _pick(args, config, "delta")
-    if gamma is None and delta is None:
+    if args.gamma is None and args.delta is None:
         return MixingCoefficients.equal_mix()
-    if gamma is None or delta is None:
+    if args.gamma is None or args.delta is None:
         raise UsageError("--gamma and --delta must be supplied together")
     try:
         return MixingCoefficients.normalized(
-            _parse_complex(gamma, "--gamma"), _parse_complex(delta, "--delta")
+            _parse_complex(args.gamma, "--gamma"), _parse_complex(args.delta, "--delta")
         )
     except ValueError as exc:
         raise UsageError(str(exc))
 
 
-def _parse_grid(args, config: dict, basis):
+def _parse_grid(args, basis):
     from .states import GridSpec
 
-    grid_text = str(_pick(args, config, "grid", "400x400"))
+    grid_text = str(args.grid)
     match = re.match(r"^(\d+)[xX](\d+)$", grid_text.strip())
     if not match:
         raise UsageError(f"--grid must look like 400x400, got {grid_text!r}")
@@ -214,8 +201,8 @@ def _parse_grid(args, config: dict, basis):
             raise UsageError(f"{flag} interval is empty: {text!r}")
         return lo, hi
 
-    x_range = parse_range(_pick(args, config, "xrange"), "--xrange")
-    y_range = parse_range(_pick(args, config, "yrange"), "--yrange")
+    x_range = parse_range(args.xrange, "--xrange")
+    y_range = parse_range(args.yrange, "--yrange")
     if x_range is None or y_range is None:
         lo, hi = basis.support_box()
         x_range = x_range or (lo, hi)
@@ -226,8 +213,7 @@ def _parse_grid(args, config: dict, basis):
         raise UsageError(str(exc))
 
 
-def _parse_formats(args, config: dict) -> set[str]:
-    text = _pick(args, config, "format")
+def _parse_formats(text) -> set[str]:
     if text is None:
         return set(_FORMATS)
     chosen = {part.strip().lower() for part in str(text).split(",") if part.strip()}
@@ -239,56 +225,44 @@ def _parse_formats(args, config: dict) -> set[str]:
     return chosen
 
 
-def _out_dir(args, config: dict) -> Path:
-    out = Path(str(_pick(args, config, "out", ".")))
+def _setup(args, mixing: bool = False):
+    """Principal parameter, mixing pair (or None), output directory and formats, in that order."""
+    param = _parse_principal(args.p, args.mode)
+    coeffs = _parse_mixing(args) if mixing else None
+    out = Path(str(args.out))
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return param, coeffs, out, _parse_formats(args.format)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run parameters: flags merged over config-file values over defaults."""
+def _write(out: Path, formats, outputs, summary: str | None = None) -> None:
+    """Call writer(out / name, *args) for each (format, name, writer, *args) whose format was chosen.
 
-    param: object
-    coeffs: object
-    out_dir: Path
-    formats: frozenset
-    raw: dict
-
-    @classmethod
-    def resolve(cls, args, mixing: bool = False) -> "RunConfig":
-        config = _load_config(args)
-        return cls(
-            param=_parse_principal(_pick(args, config, "p"), _pick(args, config, "mode")),
-            coeffs=_parse_mixing(args, config) if mixing else None,
-            out_dir=_out_dir(args, config),
-            formats=frozenset(_parse_formats(args, config)),
-            raw=config,
-        )
+    ``summary`` is printed once the files are written, then the names written.
+    """
+    written = []
+    for fmt, name, writer, *writer_args in outputs:
+        if fmt in formats:
+            writer(out / name, *writer_args)
+            written.append(name)
+    if summary is not None:
+        print(summary)
+    if written:
+        print("wrote " + " ".join(written))
 
 
 def cmd_spectrum(args) -> int:
     from . import fileio
     from .spectrum import order_spectrum
 
-    run = RunConfig.resolve(args)
-    param, formats, out = run.param, run.formats, run.out_dir
+    param, _, out, formats = _setup(args)
     spectrum = order_spectrum(param)
-    written = []
-    if "csv" in formats:
-        path = out / "spectrum.csv"
-        fileio.write_spectrum_csv(path, spectrum)
-        written.append(path.name)
-    if "json" in formats:
-        path = out / "spectrum.json"
-        fileio.write_spectrum_json(path, spectrum)
-        written.append(path.name)
     counts = f"levels={len(spectrum.levels)} states={param.state_count()}"
-    print(
-        f"k={param.k} epsilon={param.epsilon!r} mode={param.mode} xi={spectrum.xi} {counts}"
-    )
-    if written:
-        print("wrote " + " ".join(written))
+    outputs = [
+        ("csv", "spectrum.csv", fileio.write_spectrum_csv, spectrum),
+        ("json", "spectrum.json", fileio.write_spectrum_json, spectrum),
+    ]
+    summary = f"k={param.k} epsilon={param.epsilon!r} mode={param.mode} xi={spectrum.xi} {counts}"
+    _write(out, formats, outputs, summary)
     return 0
 
 
@@ -296,22 +270,15 @@ def cmd_degeneracy(args) -> int:
     from . import fileio
     from .spectrum import count_summary, order_spectrum
 
-    run = RunConfig.resolve(args)
-    param, formats, out = run.param, run.formats, run.out_dir
+    param, _, out, formats = _setup(args)
     spectrum = order_spectrum(param)
     census = count_summary(spectrum.levels)
     print(f"{census.total_states} {census.swap_reduced} {census.distinct} {census.accidental}")
-    written = []
-    if "csv" in formats:
-        path = out / "accidental_levels.csv"
-        fileio.write_spectrum_csv(path, spectrum, only_classification="accidental")
-        written.append(path.name)
-    if "json" in formats:
-        path = out / "accidental_levels.json"
-        fileio.write_spectrum_json(path, spectrum, only_classification="accidental")
-        written.append(path.name)
-    if written:
-        print("wrote " + " ".join(written))
+    outputs = [
+        ("csv", "accidental_levels.csv", fileio.write_spectrum_csv, spectrum, "accidental"),
+        ("json", "accidental_levels.json", fileio.write_spectrum_json, spectrum, "accidental"),
+    ]
+    _write(out, formats, outputs)
     return 0
 
 
@@ -321,55 +288,39 @@ def cmd_density(args) -> int:
     from .states import MorseBasis, build_mu_basis, density_grid
     from .spectrum import order_spectrum
 
-    run = RunConfig.resolve(args, mixing=True)
-    param, formats, out, config = run.param, run.formats, run.out_dir, run.raw
-    mu_raw = _pick(args, config, "mu")
-    psi_raw = _pick(args, config, "psi")
-    if (mu_raw is None) == (psi_raw is None):
+    param, coeffs, out, formats = _setup(args, mixing=True)
+    if (args.mu is None) == (args.psi is None):
         raise UsageError("pick exactly one of --mu and --psi")
-    coeffs = run.coeffs
     spectrum = order_spectrum(param)
     mu_basis = build_mu_basis(spectrum, coeffs)
     basis = MorseBasis(param)
-    grid = _parse_grid(args, config, basis)
+    grid = _parse_grid(args, basis)
 
     psi = None
-    if mu_raw is not None:
+    if args.mu is not None:
         try:
-            index = int(str(mu_raw))
+            index = int(str(args.mu))
         except ValueError as exc:
-            raise UsageError(f"cannot parse --mu value {mu_raw!r}: {exc}")
+            raise UsageError(f"cannot parse --mu value {args.mu!r}: {exc}")
         if not 0 <= index <= spectrum.xi:
             raise UsageError(f"--mu must lie in 0..{spectrum.xi}, got {index}")
         state = mu_basis.states[index]
         label = f"mu_{index}"
     else:
-        psi = _parse_complex(psi_raw, "--psi")
+        psi = _parse_complex(args.psi, "--psi")
         ladder = ladder_f(spectrum)
         state = coherent_coefficients(psi, ladder, mu_basis)
         label = "coherent"
 
     field = density_grid(basis, state, grid)
-    written = []
-    if "csv" in formats:
-        path = out / "density.csv"
-        fileio.write_density_csv(path, field)
-        written.append(path.name)
-    if "pgm" in formats:
-        path = out / "density.pgm"
-        fileio.write_density_pgm(path, field)
-        written.append(path.name)
-    if "json" in formats:
-        path = out / "density_meta.json"
-        fileio.write_density_meta(path, field, param.p_text, label, coeffs, psi)
-        written.append(path.name)
-        if psi is not None:
-            path = out / "coherent.json"
-            fileio.write_coherent_json(path, state, bg_residual(state, ladder))
-            written.append(path.name)
-    print(f"state={label} value_max={float(field.values.max())!r}")
-    if written:
-        print("wrote " + " ".join(written))
+    outputs = [
+        ("csv", "density.csv", fileio.write_density_csv, field),
+        ("pgm", "density.pgm", fileio.write_density_pgm, field),
+        ("json", "density_meta.json", fileio.write_density_meta, field, param.p_text, label, coeffs, psi),
+    ]
+    if psi is not None:
+        outputs.append(("json", "coherent.json", fileio.write_coherent_json, state, bg_residual(state, ladder)))
+    _write(out, formats, outputs, f"state={label} value_max={float(field.values.max())!r}")
     return 0
 
 
@@ -379,20 +330,22 @@ def cmd_uncertainty(args) -> int:
     from .states import MorseBasis, build_mu_basis
     from .spectrum import order_spectrum
 
-    run = RunConfig.resolve(args, mixing=True)
-    param, formats, out, config = run.param, run.formats, run.out_dir, run.raw
-    coeffs = run.coeffs
+    param, coeffs, out, formats = _setup(args, mixing=True)
 
-    def parse_float(key, default):
-        raw = _pick(args, config, key, default)
+    def parse_float(key):
+        raw = getattr(args, key)
+        flag = f"--{key.replace('_', '-')}"
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError as exc:
-            raise UsageError(f"cannot parse --{key.replace('_', '-')} value {raw!r}: {exc}")
+            raise UsageError(f"cannot parse {flag} value {raw!r}: {exc}")
+        if not math.isfinite(value):
+            raise UsageError(f"{flag} must be finite, got {raw!r}")
+        return value
 
-    start = parse_float("psi_start", 0.1)
-    stop = parse_float("psi_stop", 5.0)
-    step = parse_float("psi_step", 0.1)
+    start = parse_float("psi_start")
+    stop = parse_float("psi_stop")
+    step = parse_float("psi_step")
     if step <= 0 or stop < start:
         raise UsageError("need psi-step > 0 and psi-stop >= psi-start")
 
@@ -406,10 +359,7 @@ def cmd_uncertainty(args) -> int:
     mu_basis = build_mu_basis(spectrum, coeffs)
     basis = MorseBasis(param)
     points = uncertainty_sweep(basis, mu_basis, psis)
-    if "csv" in formats:
-        path = out / "sweep.csv"
-        fileio.write_sweep_csv(path, points)
-        print(f"wrote {path.name}")
+    _write(out, formats, [("csv", "sweep.csv", fileio.write_sweep_csv, points)])
     split = first_separation(points)
     if split is None:
         print("separation_psi=none")
@@ -421,12 +371,16 @@ def cmd_uncertainty(args) -> int:
 def main(argv=None) -> int:
     from .errors import NoBoundStatesError, OrderingAmbiguityError, QuadratureAccuracyError
 
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.config is not None:
+            # precedence: explicit flag > config file > built-in default
+            commands[args.command].set_defaults(**_load_config(args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except (UsageError, NoBoundStatesError) as exc:
         print(f"error: {exc}", file=sys.stderr)

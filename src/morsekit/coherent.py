@@ -10,6 +10,7 @@ independent cross-check.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import QuadratureAccuracyError
 from .spectrum import OrderedSpectrum
-from .states import ModeTables, MorseBasis, MuBasis, QuadratureConfig, _coefficient_matrix
+from .states import ModeTables, MorseBasis, MuBasis, QuadratureConfig, _expand
 
 __all__ = [
     "LadderSpectrum",
@@ -135,6 +136,8 @@ def coherent_coefficients(psi, ladder: LadderSpectrum, basis: MuBasis) -> Cohere
     if ladder.xi != basis.xi:
         raise ValueError(f"ladder has {ladder.xi + 1} rungs but the basis has {basis.xi + 1} levels")
     psi = complex(psi)
+    if not cmath.isfinite(psi):
+        raise ValueError(f"coherent amplitude must be finite, got {psi!r}")
     n = np.arange(ladder.xi + 1)
     if psi == 0.0:
         coeffs = np.zeros(ladder.xi + 1, dtype=complex)
@@ -279,8 +282,7 @@ def moments(basis: MorseBasis, state, axis: str = "x", quad: QuadratureConfig | 
     normalization drift cancels.
     """
     quad = quad or QuadratureConfig()
-    c = _coefficient_matrix(state, basis.k + 1)
-    basis._check_matrix_modes(c)
+    c, _ = _expand(basis, state)
     coarse = _axis_expectations(c, basis.mode_tables(quad), axis)
     fine = _axis_expectations(c, basis.mode_tables(quad.refined()), axis)
     for name in ("mean_q", "mean_q2", "mean_p", "mean_p2"):

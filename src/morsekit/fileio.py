@@ -43,10 +43,12 @@ def _join_quanta(values) -> str:
     return ";".join(str(v) for v in values)
 
 
-def _level_rows(spectrum: OrderedSpectrum):
+def _level_rows(spectrum: OrderedSpectrum, only_classification: str | None = None):
     k = spectrum.parameter.k
     eps = spectrum.parameter.epsilon
     for i, rec in enumerate(spectrum.levels):
+        if only_classification is not None and rec.classification != only_classification:
+            continue
         n0, m0 = rec.members[0]
         yield {
             "index": i,
@@ -64,9 +66,7 @@ def _level_rows(spectrum: OrderedSpectrum):
 def write_spectrum_csv(path, spectrum: OrderedSpectrum, only_classification: str | None = None) -> None:
     """Level table, one row per mu index; optionally filtered by classification."""
     lines = ["index,n_list,m_list,multiplicity,classification,a,b,shifted_energy,scaled_energy"]
-    for row in _level_rows(spectrum):
-        if only_classification is not None and row["classification"] != only_classification:
-            continue
+    for row in _level_rows(spectrum, only_classification):
         lines.append(
             ",".join(
                 [
@@ -88,15 +88,10 @@ def write_spectrum_csv(path, spectrum: OrderedSpectrum, only_classification: str
 def write_spectrum_json(path, spectrum: OrderedSpectrum, only_classification: str | None = None) -> None:
     """JSON mirror of the CSV table plus the parameter block."""
     param = spectrum.parameter
-    rows = [
-        row
-        for row in _level_rows(spectrum)
-        if only_classification is None or row["classification"] == only_classification
-    ]
     doc = {
         "epsilon": param.epsilon,
         "k": param.k,
-        "levels": rows,
+        "levels": list(_level_rows(spectrum, only_classification)),
         "mode": param.mode,
         "p_text": param.p_text,
         "xi": spectrum.xi,

@@ -431,13 +431,11 @@ def order_spectrum(param: PrincipalParameter) -> OrderedSpectrum:
     a + 2 eps b, raising OrderingAmbiguityError on an exact tie.
     """
     records = enumerate_levels(param)
-    if param.mode == INTEGER:
-        records.sort(key=lambda rec: -rec.key.a)
-    elif param.mode == RATIONAL:
-        r, q = param.ratio.numerator, param.ratio.denominator
-        records.sort(key=lambda rec: -(rec.key.a * q + 2 * r * rec.key.b))
-    else:
+    if param.mode == IRRATIONAL:
         records = _resolve_float_ties(param, records)
+    else:
+        key_fn = _group_key_fn(param)
+        records.sort(key=lambda rec: -key_fn(rec.key))
     return OrderedSpectrum(param, tuple(records), len(records) - 1)
 
 

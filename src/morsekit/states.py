@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +67,7 @@ class MixingCoefficients:
         object.__setattr__(self, "gamma", complex(self.gamma))
         object.__setattr__(self, "delta", complex(self.delta))
         norm = abs(self.gamma) ** 2 + abs(self.delta) ** 2
-        if abs(norm - 1.0) > 1.0e-12:
+        if not abs(norm - 1.0) <= 1.0e-12:
             raise ValueError(f"|gamma|^2 + |delta|^2 = {norm!r}, expected 1 within 1e-12")
 
     @classmethod
@@ -189,6 +189,8 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x_min, self.x_max, self.y_min, self.y_max))):
+            raise ValueError("grid ranges must be finite")
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ValueError("grid ranges must be non-empty")
         if self.nx < 2 or self.ny < 2:
@@ -266,8 +268,6 @@ class QuadratureConfig:
 
     points_per_axis: int = 200
     panels: int = 10
-    box: tuple[float, float] | None = None
-    support_cut: float = _SUPPORT_CUT
 
     def __post_init__(self):
         if self.panels < 1:
@@ -279,7 +279,7 @@ class QuadratureConfig:
 
     def refined(self) -> "QuadratureConfig":
         """Double both the node count and the panel count (same order per panel)."""
-        return replace(self, points_per_axis=2 * self.points_per_axis, panels=2 * self.panels)
+        return QuadratureConfig(2 * self.points_per_axis, 2 * self.panels)
 
     def nodes(self, lo: float, hi: float, split: float | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights of the composite rule on [lo, hi].
@@ -381,13 +381,6 @@ class MorseBasis:
                 "and is not normalizable"
             )
 
-    def _check_matrix_modes(self, c: np.ndarray) -> None:
-        # quadrature tables only hold bound modes, so reject states that
-        # reference an unbound one rather than returning silent zeros.
-        used = np.nonzero(np.any(c != 0.0, axis=1) | np.any(c != 0.0, axis=0))[0]
-        for n in used:
-            self._check_mode(int(n))
-
     def log_norm_1d(self, n: int) -> float:
         """ln N_n with N_n = sqrt(beta (nu - 2n - 1) n! / Gamma(nu - n))."""
         self._check_mode(n)
@@ -404,6 +397,12 @@ class MorseBasis:
         # z = nu exp(-beta x) evaluated in log space; never overflows.
         return math.log(self.nu) - self.beta * x
 
+    def _envelope(self, n: int, log_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """z clipped at exp(705), and ln N_n + (p - n) ln z - z/2 of the mode profile."""
+        z = np.exp(np.minimum(log_z, _LOG_Z_CAP))
+        with np.errstate(over="ignore"):
+            return z, self.log_norm_1d(n) + (self.p - n) * log_z - 0.5 * z
+
     def mode_values(self, n: int, x) -> np.ndarray:
         """phi_n on the given positions (scalar or array), as exact doubles.
 
@@ -414,12 +413,9 @@ class MorseBasis:
         self._check_mode(n)
         arr = np.asarray(x, dtype=float)
         scalar = arr.ndim == 0
-        log_z = self._log_z(arr)
-        z = np.exp(np.minimum(log_z, _LOG_Z_CAP))
+        z, log_pre = self._envelope(n, self._log_z(arr))
         sign, log_lag = laguerre_signed_log(n, 2.0 * (self.p - n), z)
-        with np.errstate(over="ignore"):
-            total = self.log_norm_1d(n) + (self.p - n) * log_z - 0.5 * z + log_lag
-        vals = sign * np.exp(np.minimum(total, _LOG_Z_CAP))
+        vals = sign * np.exp(np.minimum(log_pre + log_lag, _LOG_Z_CAP))
         if scalar:
             return float(vals)
         return vals
@@ -435,10 +431,8 @@ class MorseBasis:
         self._check_mode(n)
         arr = np.asarray(x, dtype=float)
         scalar = arr.ndim == 0
-        log_z = self._log_z(arr)
-        z = np.exp(np.minimum(log_z, _LOG_Z_CAP))
+        z, log_pre = self._envelope(n, self._log_z(arr))
         alpha = 2.0 * (self.p - n)
-        log_pre = self.log_norm_1d(n) + (self.p - n) * log_z - 0.5 * z
         sign_l, log_l = laguerre_signed_log(n, alpha, z)
         bracket = (self.p - n - 0.5 * z) * sign_l * np.exp(np.minimum(log_pre + log_l, _LOG_Z_CAP))
         if n > 0:
@@ -449,28 +443,23 @@ class MorseBasis:
             return float(vals)
         return vals
 
-    def _log_density_from_log_z(self, n: int, log_z: np.ndarray) -> np.ndarray:
-        """ln |phi_n|^2 sampled directly in the log z variable (support scans)."""
-        z = np.exp(np.minimum(log_z, _LOG_Z_CAP))
-        _, log_lag = laguerre_signed_log(n, 2.0 * (self.p - n), z)
-        return 2.0 * (self.log_norm_1d(n) + (self.p - n) * log_z - 0.5 * z + log_lag)
-
     # -- support scans --------------------------------------------------------
 
-    def mode_box(self, n: int, cut: float = _SUPPORT_CUT) -> tuple[float, float]:
-        """x-interval outside which |phi_n|^2 stays below cut * peak."""
+    def mode_box(self, n: int) -> tuple[float, float]:
+        """x-interval outside which |phi_n|^2 stays below 1e-14 of its peak."""
         self._check_mode(n)
-        key = (n, float(cut))
-        if key in self._boxes:
-            return self._boxes[key]
+        if n in self._boxes:
+            return self._boxes[n]
         # scan in u = ln z; u decreasing <-> x increasing.  Start around the
         # classically allowed region and push both edges out until the log
         # density drops below the threshold.
         lo_u, hi_u = -8.0, math.log(4.0 * self.nu + 50.0)
-        log_cut = math.log(cut)
+        log_cut = math.log(_SUPPORT_CUT)
         for _ in range(200):
             us = np.linspace(lo_u, hi_u, 4097)
-            g = self._log_density_from_log_z(n, us)
+            z, log_pre = self._envelope(n, us)
+            _, log_lag = laguerre_signed_log(n, 2.0 * (self.p - n), z)
+            g = 2.0 * (log_pre + log_lag)
             threshold = g.max() + log_cut
             grow_lo = g[0] > threshold
             grow_hi = g[-1] > threshold
@@ -491,17 +480,12 @@ class MorseBasis:
             (math.log(self.nu) - u_hi) / self.beta,
             (math.log(self.nu) - u_lo) / self.beta,
         )
-        self._boxes[key] = box
+        self._boxes[n] = box
         return box
 
-    def support_box(self, modes=None, cut: float = _SUPPORT_CUT) -> tuple[float, float]:
-        """Union of the per-mode boxes; default covers every bound mode."""
-        if modes is None:
-            modes = self.bound_modes()
-        modes = list(modes)
-        if not modes:
-            raise ValueError("support box of an empty mode set")
-        boxes = [self.mode_box(n, cut) for n in modes]
+    def support_box(self) -> tuple[float, float]:
+        """Union of the boxes of every bound mode."""
+        boxes = [self.mode_box(n) for n in self.bound_modes()]
         return min(b[0] for b in boxes), max(b[1] for b in boxes)
 
     # -- quadrature tables ----------------------------------------------------
@@ -544,13 +528,12 @@ class MorseBasis:
             rows[n] = sign * np.exp(0.5 * log_w + log_scale + (modes[-1] - n) * log_z + log_lag)
         return rows
 
-    def mode_tables(self, quad: QuadratureConfig, box: tuple[float, float] | None = None) -> ModeTables:
-        """All 1D matrices needed for overlaps and moments, cached per rule and box."""
-        if box is None:
-            box = quad.box if quad.box is not None else self.support_box(cut=quad.support_cut)
-        key = (quad.points_per_axis, quad.panels, float(box[0]), float(box[1]))
+    def mode_tables(self, quad: QuadratureConfig) -> ModeTables:
+        """All 1D matrices needed for moments on the support box, cached per rule."""
+        key = (quad.points_per_axis, quad.panels)
         if key in self._tables:
             return self._tables[key]
+        box = self.support_box()
         # polynomial oscillation lives at z > e^-3; beyond that the density
         # is a bare exponential tail that a couple of wide panels capture.
         split = (math.log(self.nu) + 3.0) / self.beta
@@ -611,11 +594,21 @@ def mu_wavefunction(basis: MorseBasis, state: MuState, x, y) -> np.ndarray:
     return sum(value * eigenfunction(basis, n, m, x, y) for n, m, value in state.entries)
 
 
-def _coefficient_matrix(state, dim: int) -> np.ndarray:
+def _expand(basis: MorseBasis, state) -> tuple[np.ndarray, list[int]]:
+    """Coefficient matrix C of a state over the product basis, and the modes C uses.
+
+    Every used mode must be bound: the mode tables only hold bound modes, so
+    a state that references an unbound one raises ValueError rather than
+    coming out as silent zeros.
+    """
     matrix = getattr(state, "coefficient_matrix", None)
     if matrix is None:
         raise TypeError(f"{type(state).__name__} cannot be expanded over the product basis")
-    return matrix(dim)
+    c = matrix(basis.k + 1)
+    used = np.nonzero(np.any(c != 0.0, axis=1) | np.any(c != 0.0, axis=0))[0].tolist()
+    for n in used:
+        basis._check_mode(n)
+    return c, used
 
 
 def density_grid(basis: MorseBasis, state, grid: GridSpec | None = None, default_n: int = 400) -> ScalarField2D:
@@ -629,10 +622,9 @@ def density_grid(basis: MorseBasis, state, grid: GridSpec | None = None, default
     if grid is None:
         lo, hi = basis.support_box()
         grid = GridSpec(lo, hi, lo, hi, default_n, default_n)
-    c = _coefficient_matrix(state, basis.k + 1)
+    c, used = _expand(basis, state)
     xs = grid.x_centers()
     ys = grid.y_centers()
-    used = [n for n in range(basis.k + 1) if np.any(c[n, :] != 0.0) or np.any(c[:, n] != 0.0)]
     fx = np.zeros((basis.k + 1, xs.size))
     fy = np.zeros((basis.k + 1, ys.size))
     for n in used:
@@ -647,11 +639,8 @@ def overlap(basis: MorseBasis, state_a, state_b, quad: QuadratureConfig | None =
 
     ``quad`` is unused and kept so that existing calls keep working.
     """
-    dim = basis.k + 1
-    c1 = _coefficient_matrix(state_a, dim)
-    c2 = _coefficient_matrix(state_b, dim)
-    basis._check_matrix_modes(c1)
-    basis._check_matrix_modes(c2)
+    c1, _ = _expand(basis, state_a)
+    c2, _ = _expand(basis, state_b)
     s = basis.overlap_table()
     return complex(np.vdot(c1, s @ c2 @ s.T))
 
@@ -673,8 +662,7 @@ def gram_matrix(basis: MorseBasis, states, quad: QuadratureConfig | None = None)
     states = list(states)
     rows, cols, vals, owner = [], [], [], []
     for i, state in enumerate(states):
-        c = _coefficient_matrix(state, basis.k + 1)
-        basis._check_matrix_modes(c)
+        c, _ = _expand(basis, state)
         a, b = np.nonzero(c)
         pad = [0] * (a.size % 2)
         rows += a.tolist() + pad

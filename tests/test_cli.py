@@ -347,6 +347,41 @@ class TestConfigFile:
         assert code == 2
         assert "colour" in err
 
+    def test_null_falls_back_to_builtin_default(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"p": "3pi", "mu": 0, "grid": None, "format": "json"}))
+        out = tmp_path / "out"
+        code, _, _ = run(capsys, "density", "--config", str(cfg), "--out", str(out))
+        assert code == 0
+        grid = json.loads((out / "density_meta.json").read_text())["grid"]
+        assert (grid["nx"], grid["ny"]) == (400, 400)
+
+    def test_json_numbers_for_sweep_bounds(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"p": "3pi", "psi_start": 1.5, "psi_stop": 2.0, "psi_step": 0.25}))
+        out = tmp_path / "out"
+        code, _, _ = run(capsys, "uncertainty", "--config", str(cfg), "--psi-stop", "1.75", "--out", str(out))
+        assert code == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["1.5", "1.5", "1.75", "1.75"]
+
+    def test_out_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        out = tmp_path / "from" / "config"
+        cfg.write_text(json.dumps({"p": "3pi", "out": str(out)}))
+        code, _, _ = run(capsys, "spectrum", "--config", str(cfg))
+        assert code == 0
+        assert sorted(f.name for f in out.iterdir()) == ["spectrum.csv", "spectrum.json"]
+
+    def test_other_subcommand_keys_are_ignored(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"p": "3pi", "psi": 0.5, "grid": "10x10", "psi_step": 0.2}))
+        code, out, err = run(capsys, "spectrum", "--config", str(cfg), "--out", str(tmp_path / "a"))
+        assert (code, err) == (0, "")
+        assert run(capsys, "spectrum", "--p", "3pi", "--out", str(tmp_path / "b"))[1] == out
+        for name in ("spectrum.csv", "spectrum.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
 
 class TestExitCodes:
     def test_unparseable_p(self, tmp_path, capsys):
@@ -449,9 +484,63 @@ class TestExitCodes:
         assert "yaml" in err
 
 
+# sha256 of each --help text at 80 columns (argparse's layout as of Python 3.11).
+# Keeping the built-in defaults in argparse must leave every help text as it was.
+HELP_SHA256 = {
+    "": "46c3c73980f116496ce414962bf8a33e17e0d304f852b6a4ea60e7446ba97696",
+    "spectrum": "7791b34ce2bf7b495ee3159c6f5d53de8ed042ae6048f07cc77057f541c2ab23",
+    "degeneracy": "e9459b791620525d59871cd508655a81069b1c9eaa25b1f001f0d93e074d2d47",
+    "density": "1076f56d55c4b80aaa1ae33aefb7c660bafd614eb8904968d49c1498b35f1dd3",
+    "uncertainty": "5513878270d7c1634bf6a2a7d710c1964b8b2f708fb64134c462e75ebc3927f2",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_SHA256))
+def test_help_text_unchanged(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *command.split(), "--help")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command]
+
+
+NON_FINITE_RUNS = [
+    "density --p 3pi --mu 1 --gamma nan --delta 1",
+    "density --p 3pi --psi nan",
+    "density --p 3pi --psi inf",
+    "density --p 3pi --mu 0 --xrange=-inf:3",
+    "uncertainty --p 3pi --gamma nan --delta 1",
+    "uncertainty --p 3pi --psi-start nan",
+    "uncertainty --p 3pi --psi-stop inf",
+    "uncertainty --p 3pi --psi-step inf",
+]
+
+
+@pytest.mark.parametrize("command", NON_FINITE_RUNS)
+def test_non_finite_input_is_a_usage_error(command, tmp_path, capsys):
+    code, out, err = run(capsys, *command.split(), "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # sha256 of every file each run writes.  A non-square grid makes an x/y
 # swap or a transposed raster change the bytes.
 GOLDEN_RUNS = {
+    "spectrum --p 3pi": {
+        "stdout": "k=9 epsilon=0.42477796076937974 mode=irrational xi=54 levels=55 states=100\n"
+        "wrote spectrum.csv spectrum.json\n",
+        "files": {
+            "spectrum.csv": "79b292ea4fbf7d3643a86026033d2085444f144d79289a4bcc55fe4f2896e8f1",
+            "spectrum.json": "5680b37abba180660a8a13c13a555aa2a78491bb26ec0c0125cb01a14cc580c7",
+        },
+    },
+    "degeneracy --p 28 --mode integer": {
+        "stdout": "841 435 360 75\nwrote accidental_levels.csv accidental_levels.json\n",
+        "files": {
+            "accidental_levels.csv": "84cdf7c47d86260ef998d8198fb0812c47ce28b8a0207c2ff0452f40cb875967",
+            "accidental_levels.json": "be913a26610488d9bd4371414b8f9a37768e86fe75a02a3149fcc9a81004e716",
+        },
+    },
     "density --p 3pi --psi 0.1 --grid 120x90": {
         "stdout": "state=coherent value_max=1.417168661087675\n"
         "wrote density.csv density.pgm density_meta.json coherent.json\n",

@@ -103,6 +103,11 @@ class TestCoefficients:
         assert state.localization_fraction(1) > 0.999
         assert state.localization_fraction(2) > state.localization_fraction(1)
 
+    @pytest.mark.parametrize("psi", [math.nan, math.inf, complex(0.5, math.nan), complex(-math.inf, 1.0)])
+    def test_non_finite_psi_rejected(self, ladder_3pi, mu_3pi, psi):
+        with pytest.raises(ValueError, match="must be finite"):
+            coherent_coefficients(psi, ladder_3pi, mu_3pi)
+
     def test_mismatched_ladder_rejected(self, mu_3pi):
         short = LadderSpectrum.from_strengths([0.0, 1.0, 3.0])
         with pytest.raises(ValueError):

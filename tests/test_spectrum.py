@@ -1,5 +1,6 @@
 """Spectrum classification, exact counting, and unambiguous ordering."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -335,6 +336,26 @@ class TestOrderSpectrum:
         spec = order_spectrum(decompose(f"{k}.{digits:020d}", IRRATIONAL))
         assert len(spec.levels) == (k + 1) * (k + 2) // 2
         assert spec.xi == len(spec.levels) - 1
+        # the paper's "at most two-fold": a singlet or a swap doublet, nothing accidental
+        assert count_summary(spec.levels).accidental == 0
+        assert {rec.classification for rec in spec.levels} <= {SINGLET, DOUBLET}
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(min_value=1, max_value=80),
+        eps=st.fractions(min_value=Fraction(1, 10), max_value=Fraction(9, 10), max_denominator=10),
+    )
+    def test_property_rational_merges_are_the_crossings(self, k, eps):
+        # exact integer grouping and the slope-grouped float search are
+        # independent: the distinct keys merged into one level at eps = r/q
+        # must be exactly the key pairs whose energies cross at r/q
+        levels = enumerate_levels(decompose(repr(k + float(eps)), RATIONAL, eps))
+        merged = set()
+        for rec in levels:
+            keys = sorted({level_key(k, n, m) for n, m in rec.members})
+            merged.update(itertools.combinations(keys, 2))
+        crossed = {(c.key_i, c.key_j) for c in crossing_report(k, float(eps), 1e-9)}
+        assert merged == crossed
 
     def test_rational_mode_handles_the_same_value(self):
         spec = order_spectrum(decompose("3.5", RATIONAL))

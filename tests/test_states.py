@@ -174,6 +174,14 @@ class TestMixingCoefficients:
         with pytest.raises(ValueError):
             MixingCoefficients.normalized(0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, complex(1.0, math.nan), math.inf])
+    def test_rejects_non_finite(self, bad):
+        # a NaN norm fails every comparison, so it must not slip past the check
+        with pytest.raises(ValueError, match="expected 1 within 1e-12"):
+            MixingCoefficients(bad, 0.0)
+        with pytest.raises(ValueError, match="expected 1 within 1e-12"):
+            MixingCoefficients.normalized(1.0, bad)
+
     def test_equal_mix_and_swap(self):
         mix = MixingCoefficients.equal_mix()
         assert mix.gamma == mix.delta
@@ -257,6 +265,14 @@ class TestGrids:
             GridSpec(0.0, 0.0, 0.0, 1.0, 4, 4)
         with pytest.raises(ValueError):
             GridSpec(0.0, 1.0, 0.0, 1.0, 1, 4)
+
+    @pytest.mark.parametrize("slot", range(4))
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf])
+    def test_rejects_non_finite_bounds(self, slot, bad):
+        bounds = [0.0, 1.0, 0.0, 1.0]
+        bounds[slot] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(*bounds, 4, 4)
 
     def test_field_shape_checked(self):
         grid = GridSpec(0.0, 1.0, 0.0, 1.0, 3, 3)
