@@ -337,7 +337,7 @@ def cmd_uncertainty(args) -> int:
         flag = f"--{key.replace('_', '-')}"
         try:
             value = float(raw)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise UsageError(f"cannot parse {flag} value {raw!r}: {exc}")
         if not math.isfinite(value):
             raise UsageError(f"{flag} must be finite, got {raw!r}")

@@ -184,23 +184,22 @@ def bg_residual(state: CoherentState, ladder: LadderSpectrum) -> float:
     return math.exp(log_bg_residual(state, ladder))
 
 
-def bg_residual_direct(state: CoherentState, ladder: LadderSpectrum, dps: int | None = None) -> float:
+def bg_residual_direct(state: CoherentState, ladder: LadderSpectrum) -> float:
     """Truncation residual from the ladder action itself, in high precision.
 
     Recomputes the coefficients, applies the lowering operator term by term
     and measures || A- |Psi> - Psi |Psi> || with mpmath.  Rung n of both
     vectors carries the phase e^(i (n+1) arg Psi), so only the magnitudes
     e_n = exp(h_n - max h), h_n = n ln|Psi| - ln([f(n)]!) / 2, enter.  The
-    working precision is chosen from the closed-form estimate so the
+    working precision is 40 digits plus the number of decimal places the
+    closed-form estimate ``log_bg_residual`` puts below 1, so the
     subtraction keeps significant digits; doubles alone lose the residual
     entirely in cancellation noise.
     """
     estimate = log_bg_residual(state, ladder) / math.log(10.0)  # also checks the ladder
     if state.psi == 0.0:
         return 0.0
-    if dps is None:
-        dps = 40 + max(0, -int(math.floor(estimate)))
-    with mpmath.workdps(dps):
+    with mpmath.workdps(40 + max(0, -int(math.floor(estimate)))):
         apsi = abs(mpmath.mpc(state.psi))
         log_apsi = mpmath.log(apsi)
         log_fact, h = mpmath.mpf(0), [mpmath.mpf(0)]

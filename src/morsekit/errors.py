@@ -12,10 +12,11 @@ class NoBoundStatesError(MorsekitError):
 class OrderingAmbiguityError(MorsekitError):
     """Two distinct level keys evaluate to exactly the same energy.
 
-    Raised when the exact-arithmetic tie-break cannot separate two levels,
-    which means the declared arithmetic type of p is inconsistent with the
-    requested total order.  ``keys`` holds the two tied LevelKeys;
-    ``p_text`` and ``mode`` are the declared principal parameter.
+    Raised when two distinct keys have the same exact value a + 2 eps b in
+    irrational mode, which means the declared arithmetic type of p is
+    inconsistent with the requested total order.  ``keys`` holds the two
+    tied LevelKeys; ``p_text`` and ``mode`` are the declared principal
+    parameter.
     """
 
     def __init__(self, message: str, *, keys=None, p_text: str | None = None, mode: str | None = None):

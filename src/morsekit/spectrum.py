@@ -6,8 +6,8 @@ such relations can occur depends on the arithmetic type of the principal
 parameter p.  That type cannot be inferred from a float, so it is always
 declared by the caller: ``integer``, ``rational`` (with an exact fraction for
 the fractional part), or ``irrational``.  All grouping and ordering decisions
-are made with exact integer, Fraction or Decimal arithmetic; floats only
-carry the final energy values.
+are made on one exact integer per level; floats only carry the final energy
+values.
 """
 
 from __future__ import annotations
@@ -61,9 +61,6 @@ DOUBLET = "doublet"
 ACCIDENTAL = "accidental"
 
 _MODES = (INTEGER, RATIONAL, IRRATIONAL)
-
-# Adjacent float energies closer than this many ulps are re-compared exactly.
-_ULP_WINDOW = 8
 
 
 @dataclass(frozen=True)
@@ -288,34 +285,38 @@ def _classify(members: Sequence[tuple[int, int]]) -> str:
     return ACCIDENTAL
 
 
-def _group_key_fn(param: PrincipalParameter):
-    """Exact grouping key for the declared arithmetic type of p.
+def _exact_epsilon(param: PrincipalParameter) -> tuple[int, int]:
+    """epsilon as integers (N, D) with epsilon = N / D exactly.
 
-    Integer: levels coincide iff a matches.  Rational eps = r/q: iff
-    a q + 2 r b matches (an exact integer).  Irrational: iff both a and b
-    match; no other coincidence is possible.
+    Integer mode has epsilon = 0, rational mode the declared ratio, and
+    irrational mode the exact value of the decimal text.  A key (a, b) then
+    has the exact level value a D + 2 N b, which is -D times its shifted
+    energy: a larger value is a deeper level.
     """
     if param.mode == INTEGER:
-        return lambda key: key.a
-    if param.mode == RATIONAL:
-        r, q = param.ratio.numerator, param.ratio.denominator
-        return lambda key: key.a * q + 2 * r * key.b
-    return lambda key: (key.a, key.b)
+        return 0, 1
+    frac = param.ratio if param.mode == RATIONAL else Fraction(param.epsilon_exact)
+    return frac.numerator, frac.denominator
 
 
 def enumerate_levels(param: PrincipalParameter) -> list[LevelRecord]:
     """Group all (k+1)^2 bound states into exact degenerate levels.
 
-    Returns the levels sorted by increasing shifted energy (deepest first);
-    ties in the float value are broken by the integer key so the output is
-    deterministic regardless of dict iteration order.
+    Integer and rational modes merge the states whose exact level value
+    a D + 2 N b (epsilon = N / D) matches; irrational mode merges only the
+    states with the same key (a, b), since no other coincidence is possible.
+    Returns the levels deepest first, sorted by (-value, a, b).
     """
     k = param.k
+    num, den = _exact_epsilon(param)
+    by_key = param.mode == IRRATIONAL
     groups: dict[object, list[tuple[int, int]]] = {}
-    key_fn = _group_key_fn(param)
     for n in range(k + 1):
+        u = k - n
         for m in range(k + 1):
-            groups.setdefault(key_fn(level_key(k, n, m)), []).append((n, m))
+            v = k - m
+            a, b = u * u + v * v, u + v
+            groups.setdefault((a, b) if by_key else a * den + 2 * num * b, []).append((n, m))
 
     records = []
     for members in groups.values():
@@ -330,7 +331,7 @@ def enumerate_levels(param: PrincipalParameter) -> list[LevelRecord]:
                 classification=_classify(members),
             )
         )
-    records.sort(key=lambda rec: (rec.shifted_energy, rec.key.a, rec.key.b))
+    records.sort(key=lambda rec: (-(rec.key.a * den + 2 * num * rec.key.b), rec.key))
     return records
 
 
@@ -381,61 +382,27 @@ class OrderedSpectrum:
         return np.array([rec.shifted_energy for rec in self.levels])
 
 
-def _within_ulps(x: float, y: float, count: int) -> bool:
-    return abs(x - y) <= count * math.ulp(max(abs(x), abs(y)))
-
-
-def _resolve_float_ties(param: PrincipalParameter, records: list[LevelRecord]) -> list[LevelRecord]:
-    """Re-sort runs of float-indistinguishable energies with exact Decimal arithmetic.
-
-    ``records`` arrive sorted by float shifted energy.  Any consecutive run
-    whose neighbours differ by at most _ULP_WINDOW ulps is re-keyed as
-    a + 2 eps b with eps taken from the decimal text at full precision.  If
-    two distinct keys produce exactly equal Decimal values the declared
-    irrationality is contradicted and OrderingAmbiguityError is raised.
-    """
-    eps = param.epsilon_exact
-    out: list[LevelRecord] = []
-    i = 0
-    while i < len(records):
-        j = i + 1
-        while j < len(records) and _within_ulps(
-            records[j - 1].shifted_energy, records[j].shifted_energy, _ULP_WINDOW
-        ):
-            j += 1
-        run = records[i:j]
-        if len(run) > 1:
-            with localcontext() as ctx:
-                ctx.prec = max(60, len(param.p_text) + 25)
-                exact = {rec.key: Decimal(rec.key.a) + 2 * eps * rec.key.b for rec in run}
-            run.sort(key=lambda rec: exact[rec.key], reverse=True)
-            for u, v in zip(run, run[1:]):
-                if exact[u.key] == exact[v.key]:
-                    raise OrderingAmbiguityError(
-                        f"levels {u.key} and {v.key} are exactly degenerate at "
-                        f"p = {param.p_text}; the declared mode {param.mode!r} does not "
-                        "admit a strict order here",
-                        keys=(u.key, v.key), p_text=param.p_text, mode=param.mode,
-                    )
-        out.extend(run)
-        i = j
-    return out
-
-
 def order_spectrum(param: PrincipalParameter) -> OrderedSpectrum:
     """Totally ordered spectrum, deepest level first.
 
-    Integer and rational modes sort by the exact integer grouping key, so no
-    float comparison is ever trusted.  Irrational mode sorts by the float
-    energy and escalates near-ties to exact Decimal comparison of
-    a + 2 eps b, raising OrderingAmbiguityError on an exact tie.
+    The order is the one ``enumerate_levels`` gives, by the exact level
+    value a D + 2 N b with epsilon = N / D.  Integer and rational modes group
+    by that value, so it is strict there.  In irrational mode two adjacent
+    levels with the same value contradict the declared irrationality and
+    raise OrderingAmbiguityError.
     """
     records = enumerate_levels(param)
     if param.mode == IRRATIONAL:
-        records = _resolve_float_ties(param, records)
-    else:
-        key_fn = _group_key_fn(param)
-        records.sort(key=lambda rec: -key_fn(rec.key))
+        num, den = _exact_epsilon(param)
+        for upper, lower in zip(records, records[1:]):
+            u, v = upper.key, lower.key
+            if u.a * den + 2 * num * u.b == v.a * den + 2 * num * v.b:
+                raise OrderingAmbiguityError(
+                    f"levels {u} and {v} are exactly degenerate at "
+                    f"p = {param.p_text}; the declared mode {param.mode!r} does not "
+                    "admit a strict order here",
+                    keys=(u, v), p_text=param.p_text, mode=param.mode,
+                )
     return OrderedSpectrum(param, tuple(records), len(records) - 1)
 
 

@@ -6,11 +6,23 @@ arithmetic is easy to audit.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import mpmath
 import numpy as np
 
-from morsekit import Crossing, level_key
+from morsekit import (
+    IRRATIONAL,
+    RATIONAL,
+    Crossing,
+    OrderedSpectrum,
+    OrderingAmbiguityError,
+    enumerate_levels,
+    level_key,
+)
+
+# Adjacent float energies closer than this many ulps are re-compared exactly.
+_ULP_WINDOW = 8
 
 
 def laguerre(n, alpha, x):
@@ -111,3 +123,63 @@ def crossing_report_pairs(k, epsilon, tol):
         out.append(Crossing(key_i, key_j, float(-da[idx] / (2.0 * db[idx]))))
     out.sort(key=lambda c: (c.epsilon_cross, c.key_i, c.key_j))
     return out
+
+
+def _within_ulps(x, y, count):
+    return abs(x - y) <= count * math.ulp(max(abs(x), abs(y)))
+
+
+def _resolve_float_ties(param, records):
+    """Re-sort runs of float-indistinguishable energies with exact Decimal arithmetic.
+
+    ``records`` arrive sorted by float shifted energy.  Any consecutive run
+    whose neighbours differ by at most _ULP_WINDOW ulps is re-keyed as
+    a + 2 eps b with eps taken from the decimal text at full precision.  If
+    two distinct keys produce exactly equal Decimal values the declared
+    irrationality is contradicted and OrderingAmbiguityError is raised.
+    """
+    eps = param.epsilon_exact
+    out = []
+    i = 0
+    while i < len(records):
+        j = i + 1
+        while j < len(records) and _within_ulps(
+            records[j - 1].shifted_energy, records[j].shifted_energy, _ULP_WINDOW
+        ):
+            j += 1
+        run = records[i:j]
+        if len(run) > 1:
+            with localcontext() as ctx:
+                ctx.prec = max(60, len(param.p_text) + 25)
+                exact = {rec.key: Decimal(rec.key.a) + 2 * eps * rec.key.b for rec in run}
+            run.sort(key=lambda rec: exact[rec.key], reverse=True)
+            for u, v in zip(run, run[1:]):
+                if exact[u.key] == exact[v.key]:
+                    raise OrderingAmbiguityError(
+                        f"levels {u.key} and {v.key} are exactly degenerate at "
+                        f"p = {param.p_text}; the declared mode {param.mode!r} does not "
+                        "admit a strict order here",
+                        keys=(u.key, v.key), p_text=param.p_text, mode=param.mode,
+                    )
+        out.extend(run)
+        i = j
+    return out
+
+
+def order_spectrum_float(param):
+    """order_spectrum by float energy, with near-ties settled in Decimal.
+
+    The levels are sorted by (float shifted energy, a, b).  Integer and
+    rational modes then re-sort by the exact grouping key a q + 2 r b
+    (q = 1, r = 0 for integers).  Irrational mode re-compares every run of
+    neighbours within _ULP_WINDOW ulps exactly and raises on an exact tie.
+    """
+    records = sorted(
+        enumerate_levels(param), key=lambda rec: (rec.shifted_energy, rec.key.a, rec.key.b)
+    )
+    if param.mode == IRRATIONAL:
+        records = _resolve_float_ties(param, records)
+    else:
+        r, q = (param.ratio.numerator, param.ratio.denominator) if param.mode == RATIONAL else (0, 1)
+        records.sort(key=lambda rec: -(rec.key.a * q + 2 * r * rec.key.b))
+    return OrderedSpectrum(param, tuple(records), len(records) - 1)

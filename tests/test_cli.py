@@ -365,6 +365,18 @@ class TestConfigFile:
         rows = (out / "sweep.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["1.5", "1.5", "1.75", "1.75"]
 
+    @pytest.mark.parametrize("value", [[1], {"a": 1}])
+    @pytest.mark.parametrize("key", ["psi_start", "psi_stop", "psi_step"])
+    def test_non_scalar_sweep_bound_is_a_usage_error(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"p": "3pi", key: value}))
+        code, out, err = run(capsys, "uncertainty", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        flag = "--" + key.replace("_", "-")
+        assert err.startswith(f"error: cannot parse {flag} value {value!r}")
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_out_from_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         out = tmp_path / "from" / "config"

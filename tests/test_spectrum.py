@@ -9,9 +9,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import crossing_report_pairs
+from oracles import crossing_report_pairs, order_spectrum_float
 
 from morsekit import (
     ACCIDENTAL,
@@ -322,6 +322,89 @@ class TestOrderSpectrum:
             "levels LevelKey(a=8, b=4) and LevelKey(a=9, b=3) are exactly degenerate at "
             "p = 3.5; the declared mode 'irrational' does not admit a strict order here"
         )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "3.5000000000000000000000000000001",
+            "3.4999999999999999999999999999999",
+        ],
+    )
+    def test_float_tie_ordered_by_exact_value(self, text):
+        # eps is 1/2 to 31 digits: (8, 4) and (9, 3) have the same float
+        # energy and are told apart only by the sign of eps - 1/2
+        param = decompose(text, IRRATIONAL)
+        assert param.epsilon == 0.5
+        assert shifted_energy(3, param.epsilon, 1, 1) == shifted_energy(3, param.epsilon, 3, 0)
+        keys = [rec.key for rec in order_spectrum(param).levels]
+        pair = [key for key in keys if key in (LevelKey(8, 4), LevelKey(9, 3))]
+        eps = Fraction(param.epsilon_exact)
+        assert pair == sorted(pair, key=lambda key: key.a + 2 * eps * key.b, reverse=True)
+        assert pair[0] == (LevelKey(8, 4) if eps > Fraction(1, 2) else LevelKey(9, 3))
+
+    def test_rational_float_tie_enumerates_in_exact_order(self):
+        # eps = (10^18 / 2 - 1) / 10^18 rounds to 0.5, so the float energies of
+        # (8, 4) and (9, 3) tie; the exact key puts (9, 3) deeper in both calls
+        param = decompose("3.499999999999999999", RATIONAL)
+        assert param.ratio.denominator == 10**18
+        assert shifted_energy(3, param.epsilon, 1, 1) == shifted_energy(3, param.epsilon, 3, 0)
+        listed = [rec.key for rec in enumerate_levels(param)]
+        assert listed == [rec.key for rec in order_spectrum(param).levels]
+        assert listed.index(LevelKey(9, 3)) + 1 == listed.index(LevelKey(8, 4))
+
+    @pytest.mark.parametrize(
+        "text, mode",
+        [
+            (pi_multiple_text(3.0), IRRATIONAL),
+            ("28", INTEGER),
+            pytest.param("150.25", RATIONAL, marks=pytest.mark.deep),
+            pytest.param("100.3717", IRRATIONAL, marks=pytest.mark.deep),
+            pytest.param("200.3717", IRRATIONAL, marks=pytest.mark.deep),
+        ],
+    )
+    def test_matches_float_oracle_on_grid(self, text, mode):
+        param = decompose(text, mode)
+        assert order_spectrum(param).levels == order_spectrum_float(param).levels
+
+    @staticmethod
+    def _assert_matches_float_oracle(k, eps, digits, nudge, mode):
+        # eps = r/q written to `digits` places, the last one nudged by -1, 0 or 1;
+        # rational mode takes r/q itself when the text is not nudged
+        text = f"{k}.{eps.numerator * 10**digits // eps.denominator + nudge:0{digits}d}"
+        if mode == INTEGER:
+            param = decompose(str(k), INTEGER)
+        else:
+            param = decompose(text, mode, eps if mode == RATIONAL and nudge == 0 else None)
+        try:
+            expected = order_spectrum_float(param)
+        except OrderingAmbiguityError as exc:
+            with pytest.raises(OrderingAmbiguityError) as info:
+                order_spectrum(param)
+            assert info.value.keys == exc.keys
+            assert str(info.value) == str(exc)
+        else:
+            assert order_spectrum(param).levels == expected.levels
+
+    _crossing_points = dict(
+        eps=st.fractions(min_value=Fraction(1, 12), max_value=Fraction(11, 12), max_denominator=12),
+        digits=st.sampled_from([20, 40]),
+        nudge=st.sampled_from([-1, 0, 1]),
+        mode=st.sampled_from([INTEGER, RATIONAL, IRRATIONAL]),
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(min_value=1, max_value=80), **_crossing_points)
+    @example(k=3, eps=Fraction(1, 2), digits=20, nudge=0, mode=IRRATIONAL)
+    @example(k=40, eps=Fraction(1, 5), digits=40, nudge=0, mode=IRRATIONAL)
+    @example(k=40, eps=Fraction(1, 5), digits=40, nudge=1, mode=IRRATIONAL)
+    def test_property_matches_float_oracle(self, k, eps, digits, nudge, mode):
+        self._assert_matches_float_oracle(k, eps, digits, nudge, mode)
+
+    @pytest.mark.deep
+    @settings(max_examples=12, deadline=None)
+    @given(k=st.integers(min_value=81, max_value=200), **_crossing_points)
+    def test_property_matches_float_oracle_deep(self, k, eps, digits, nudge, mode):
+        self._assert_matches_float_oracle(k, eps, digits, nudge, mode)
 
     @pytest.mark.deep
     @settings(max_examples=25, deadline=None)
