@@ -14,7 +14,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .errors import QuadratureAccuracyError
@@ -190,8 +189,10 @@ def bg_residual_direct(state: CoherentState, ladder: LadderSpectrum) -> float:
     Recomputes the coefficients, applies the lowering operator term by term
     and measures || A- |Psi> - Psi |Psi> || with mpmath.  Rung n of both
     vectors carries the phase e^(i (n+1) arg Psi), so only the magnitudes
-    e_n = exp(h_n - max h), h_n = n ln|Psi| - ln([f(n)]!) / 2, enter.  The
-    working precision is 40 digits plus the number of decimal places the
+    e_n = |Psi|^n / (r_1 ... r_n), r_j = sqrt(f(j)), enter.  Each e_n is built
+    from its definition with a running power and a running product of roots,
+    never from e_(n-1) through the ratio |Psi| / r_n that the check tests.
+    The working precision is 40 digits plus the number of decimal places the
     closed-form estimate ``log_bg_residual`` puts below 1, so the
     subtraction keeps significant digits; doubles alone lose the residual
     entirely in cancellation noise.
@@ -199,17 +200,19 @@ def bg_residual_direct(state: CoherentState, ladder: LadderSpectrum) -> float:
     estimate = log_bg_residual(state, ladder) / math.log(10.0)  # also checks the ladder
     if state.psi == 0.0:
         return 0.0
+    import mpmath
+
     with mpmath.workdps(40 + max(0, -int(math.floor(estimate)))):
         apsi = abs(mpmath.mpc(state.psi))
-        log_apsi = mpmath.log(apsi)
-        log_fact, h = mpmath.mpf(0), [mpmath.mpf(0)]
-        for n, value in enumerate(ladder.f[1:].tolist(), start=1):
-            log_fact += mpmath.log(value)
-            h.append(n * log_apsi - log_fact / 2)
-        top = max(h)
-        e = [mpmath.exp(t - top) for t in h]
+        roots = [mpmath.sqrt(f) for f in ladder.f[1:].tolist()]
+        power = root_fact = mpmath.mpf(1)
+        e = [power]
+        for r in roots:
+            power *= apsi
+            root_fact *= r
+            e.append(power / root_fact)
         # (A- c)_n = sqrt(f(n+1)) c_{n+1}, zero at the top rung
-        gaps = [mpmath.sqrt(f) * hi - apsi * lo for f, lo, hi in zip(ladder.f[1:].tolist(), e, e[1:])]
+        gaps = [r * hi - apsi * lo for r, lo, hi in zip(roots, e, e[1:])]
         gaps.append(apsi * e[-1])
         return float(mpmath.sqrt(mpmath.fdot(gaps, gaps) / mpmath.fdot(e, e)))
 

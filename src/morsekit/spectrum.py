@@ -20,7 +20,6 @@ from decimal import Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import mpmath
 import numpy as np
 
 from .errors import NoBoundStatesError, OrderingAmbiguityError
@@ -212,6 +211,8 @@ def pi_multiple_text(multiple: float = 1.0, digits: int = 40) -> str:
     """
     if digits < 17:
         raise ValueError("fewer than 17 digits cannot round-trip a double")
+    import mpmath
+
     with mpmath.workdps(digits + 10):
         value = mpmath.mpf(multiple) * mpmath.pi
         return mpmath.nstr(value, digits, strip_zeros=False)
@@ -410,12 +411,14 @@ def order_spectrum(param: PrincipalParameter) -> OrderedSpectrum:
 class Crossing:
     """Two level keys whose energies cross within the scanned tolerance window.
 
-    ``epsilon_cross`` is the exact crossing point -(a_i - a_j) / (2 (b_i - b_j)).
+    ``epsilon_exact`` is the crossing point -(a_i - a_j) / (2 (b_i - b_j)) as
+    a Fraction; ``epsilon_cross`` is that value correctly rounded to a double.
     """
 
     key_i: LevelKey
     key_j: LevelKey
     epsilon_cross: float
+    epsilon_exact: Fraction
 
 
 def crossing_report(k: int, epsilon: float, tol: float) -> list[Crossing]:
@@ -474,6 +477,6 @@ def crossing_report(k: int, epsilon: float, tol: float) -> list[Crossing]:
         a_int[p].tolist(), b_int[p].tolist(), a_int[q].tolist(), b_int[q].tolist(), cross.tolist()
     ):
         key_i, key_j = sorted((LevelKey(ap, bp), LevelKey(aq, bq)))
-        out.append(Crossing(key_i, key_j, at))
+        out.append(Crossing(key_i, key_j, at, Fraction(aq - ap, 2 * (bp - bq))))
     out.sort(key=lambda c: (c.epsilon_cross, c.key_i, c.key_j))
     return out

@@ -7,6 +7,7 @@ arithmetic is easy to audit.
 
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -19,6 +20,7 @@ from morsekit import (
     OrderingAmbiguityError,
     enumerate_levels,
     level_key,
+    log_bg_residual,
 )
 
 # Adjacent float energies closer than this many ulps are re-compared exactly.
@@ -49,6 +51,29 @@ def laguerre_derivative(n, alpha, x):
         out = np.zeros_like(np.asarray(x, dtype=float))
         return float(out) if out.ndim == 0 else out
     return -laguerre(n - 1, alpha + 1.0, x)
+
+
+def bg_residual_direct_logexp(state, ladder):
+    """bg_residual_direct with each magnitude exponentiated from its log.
+
+    e_n = exp(h_n - max h), h_n = n ln|Psi| - ln([f(n)]!) / 2, at the same
+    working precision as the library; one mpmath log and exp per rung.
+    """
+    estimate = log_bg_residual(state, ladder) / math.log(10.0)
+    if state.psi == 0.0:
+        return 0.0
+    with mpmath.workdps(40 + max(0, -int(math.floor(estimate)))):
+        apsi = abs(mpmath.mpc(state.psi))
+        log_apsi = mpmath.log(apsi)
+        log_fact, h = mpmath.mpf(0), [mpmath.mpf(0)]
+        for n, value in enumerate(ladder.f[1:].tolist(), start=1):
+            log_fact += mpmath.log(value)
+            h.append(n * log_apsi - log_fact / 2)
+        top = max(h)
+        e = [mpmath.exp(t - top) for t in h]
+        gaps = [mpmath.sqrt(f) * hi - apsi * lo for f, lo, hi in zip(ladder.f[1:].tolist(), e, e[1:])]
+        gaps.append(apsi * e[-1])
+        return float(mpmath.sqrt(mpmath.fdot(gaps, gaps) / mpmath.fdot(e, e)))
 
 
 def bg_residual_direct_complex(state, ladder, dps=None):
@@ -120,7 +145,8 @@ def crossing_report_pairs(k, epsilon, tol):
     out = []
     for idx in np.nonzero(hit)[0]:
         key_i, key_j = sorted((keys[ii[idx]], keys[jj[idx]]))
-        out.append(Crossing(key_i, key_j, float(-da[idx] / (2.0 * db[idx]))))
+        exact = Fraction(int(-da[idx]), int(2.0 * db[idx]))
+        out.append(Crossing(key_i, key_j, float(-da[idx] / (2.0 * db[idx])), exact))
     out.sort(key=lambda c: (c.epsilon_cross, c.key_i, c.key_j))
     return out
 

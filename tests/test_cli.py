@@ -608,6 +608,30 @@ for argv in (
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
 """
+    run_fresh(script)
+
+
+def test_mpmath_loads_only_when_used(tmp_path):
+    # pi_multiple_text and bg_residual_direct are its only users
+    script = f"""
+import sys
+import morsekit.cli
+assert "mpmath" not in sys.modules
+out = {str(tmp_path)!r}
+for argv in (
+    ["degeneracy", "--p", "28", "--mode", "integer"],
+    ["spectrum", "--p", "9.3717", "--mode", "irrational"],
+    ["density", "--p", "9.3717", "--mode", "irrational", "--psi", "0.5", "--grid", "12x10"],
+):
+    assert morsekit.cli.main(argv + ["--out", out]) == 0, argv
+assert "mpmath" not in sys.modules
+assert morsekit.cli.main(["degeneracy", "--p", "3pi", "--out", out]) == 0
+assert "mpmath" in sys.modules
+"""
+    run_fresh(script)
+
+
+def run_fresh(script):
     src = str(Path(morsekit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(

@@ -1,12 +1,16 @@
 """Coherent states over the level ladder: coefficients, residuals, moments."""
 
+import cmath
 import math
 import random
+import sys
 
 import mpmath
 import numpy as np
 import pytest
-from oracles import bg_residual_direct_complex, coherent_coefficient_matrix_sum
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import bg_residual_direct_complex, bg_residual_direct_logexp, coherent_coefficient_matrix_sum
 from scipy.integrate import quad as scipy_quad
 from scipy.special import logsumexp
 
@@ -223,7 +227,39 @@ class TestResidual:
             ladder = ladder_f(spectrum)
             psi = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 10 ** rng.uniform(0.5, 1.5)
             state = coherent_coefficients(psi, ladder, build_mu_basis(spectrum))
-            assert bg_residual_direct(state, ladder) == bg_residual_direct_complex(state, ladder)
+            direct = bg_residual_direct(state, ladder)
+            assert direct == bg_residual_direct_complex(state, ladder)
+            assert direct == bg_residual_direct_logexp(state, ladder)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        k=st.integers(min_value=0, max_value=40),
+        half=st.integers(min_value=0, max_value=10**12 // 2 - 1),
+        modulus=st.floats(min_value=3.0, max_value=45.0),
+        phase=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    )
+    def test_property_direct_matches_closed_form(self, k, half, modulus, phase):
+        # an odd last digit keeps eps off every crossing point, so the order is strict
+        spectrum = order_spectrum(decompose(f"{k}.{2 * half + 1:012d}", "irrational"))
+        ladder = ladder_f(spectrum)
+        state = coherent_coefficients(cmath.rect(modulus, phase), ladder, build_mu_basis(spectrum))
+        direct, closed = bg_residual_direct(state, ladder), bg_residual(state, ladder)
+        if min(direct, closed) >= sys.float_info.min:
+            assert direct == pytest.approx(closed, rel=1e-10)
+        elif log_bg_residual(state, ladder) < -746.0:  # below half the smallest subnormal
+            assert direct == 0.0
+
+    @pytest.mark.deep
+    @pytest.mark.parametrize(
+        "text, psi",
+        [("45.09125681047774282578881968301778850870", 1.651212), ("60.3717", 5.0)],
+    )
+    def test_direct_residual_underflows_in_deep_wells(self, text, psi):
+        spectrum = order_spectrum(decompose(text, "irrational"))
+        ladder = ladder_f(spectrum)
+        state = coherent_coefficients(psi, ladder, build_mu_basis(spectrum))
+        assert log_bg_residual(state, ladder) < -745.0
+        assert bg_residual_direct(state, ladder) == 0.0
 
     def test_ladder_of_another_well_is_rejected(self, ladder_3pi, mu_3pi):
         # the k = 12 ladder has 91 rungs, the 3 pi state 55 levels; read

@@ -461,6 +461,7 @@ class TestCrossingReport:
         c = crossings[0]
         assert {c.key_i, c.key_j} == {LevelKey(9, 3), LevelKey(8, 4)}
         assert c.epsilon_cross == pytest.approx(0.5, abs=1e-12)
+        assert c.epsilon_exact == Fraction(1, 2)
 
     def test_quarter_has_none(self):
         assert crossing_report(3, 0.25, tol=1e-6) == []
@@ -506,6 +507,16 @@ class TestCrossingReport:
         if k == 40:
             # every one of these epsilons is an exact crossing point at k = 40
             assert got
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 2), Fraction(1, 4), Fraction(3, 8), Fraction(1, 3)])
+    @pytest.mark.parametrize("k", [3, 17, 40])
+    def test_exact_crossing_point_rounds_to_the_float(self, k, eps):
+        for c in crossing_report(k, float(eps), 1e-6):
+            da, db = c.key_i.a - c.key_j.a, c.key_i.b - c.key_j.b
+            assert c.epsilon_exact == Fraction(-da, 2 * db)
+            assert float(c.epsilon_exact) == c.epsilon_cross
+        # crossing points have denominators up to 4k, so within 1e-9 only eps itself
+        assert {c.epsilon_exact for c in crossing_report(k, float(eps), 1e-9)} <= {eps}
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-4, 0.05, 0.5, 0.9, 2.0])
     def test_windows_past_the_unit_interval_match_all_pairs(self, tol):
