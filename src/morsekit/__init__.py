@@ -14,128 +14,17 @@ if _cap:
     ):
         _os.environ.setdefault(_var, _cap)
 
-from .errors import (
-    MorsekitError,
-    NoBoundStatesError,
-    OrderingAmbiguityError,
-    QuadratureAccuracyError,
-)
-from .specfun import laguerre_signed_log, log_gamma
-from .spectrum import (
-    ACCIDENTAL,
-    DOUBLET,
-    INTEGER,
-    IRRATIONAL,
-    RATIONAL,
-    SINGLET,
-    CountSummary,
-    Crossing,
-    LevelKey,
-    LevelRecord,
-    OrderedSpectrum,
-    PhysicalParams,
-    PrincipalParameter,
-    count_summary,
-    crossing_report,
-    decompose,
-    depth_for_principal,
-    derive_parameters,
-    enumerate_levels,
-    level_key,
-    order_spectrum,
-    pi_multiple_text,
-    scaled_energy,
-    shifted_energy,
-)
-from .states import (
-    GridSpec,
-    MixingCoefficients,
-    MorseBasis,
-    MuBasis,
-    MuState,
-    QuadratureConfig,
-    ScalarField2D,
-    build_mu_basis,
-    density_grid,
-    eigenfunction,
-    gram_matrix,
-    mu_wavefunction,
-    normalization,
-    overlap,
-)
-from .coherent import (
-    CoherentState,
-    LadderSpectrum,
-    MomentReport,
-    SweepPoint,
-    bg_residual,
-    bg_residual_direct,
-    log_bg_residual,
-    coherent_coefficients,
-    first_separation,
-    ladder_f,
-    moments,
-    uncertainty_sweep,
-)
+# The public names are each module's own __all__, re-exported here.
+from . import coherent, errors, specfun, spectrum, states
+from .errors import *
+from .specfun import *
+from .spectrum import *
+from .states import *
+from .coherent import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "MorsekitError",
-    "NoBoundStatesError",
-    "OrderingAmbiguityError",
-    "QuadratureAccuracyError",
-    "log_gamma",
-    "laguerre_signed_log",
-    "INTEGER",
-    "RATIONAL",
-    "IRRATIONAL",
-    "SINGLET",
-    "DOUBLET",
-    "ACCIDENTAL",
-    "PhysicalParams",
-    "PrincipalParameter",
-    "LevelKey",
-    "LevelRecord",
-    "OrderedSpectrum",
-    "CountSummary",
-    "Crossing",
-    "derive_parameters",
-    "depth_for_principal",
-    "decompose",
-    "pi_multiple_text",
-    "scaled_energy",
-    "shifted_energy",
-    "level_key",
-    "enumerate_levels",
-    "count_summary",
-    "order_spectrum",
-    "crossing_report",
-    "MixingCoefficients",
-    "MuState",
-    "MuBasis",
-    "build_mu_basis",
-    "GridSpec",
-    "ScalarField2D",
-    "QuadratureConfig",
-    "MorseBasis",
-    "normalization",
-    "eigenfunction",
-    "mu_wavefunction",
-    "density_grid",
-    "overlap",
-    "gram_matrix",
-    "LadderSpectrum",
-    "ladder_f",
-    "CoherentState",
-    "coherent_coefficients",
-    "bg_residual",
-    "log_bg_residual",
-    "bg_residual_direct",
-    "MomentReport",
-    "moments",
-    "SweepPoint",
-    "uncertainty_sweep",
-    "first_separation",
+    *(name for module in (errors, specfun, spectrum, states, coherent) for name in module.__all__),
     "__version__",
 ]

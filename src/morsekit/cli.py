@@ -20,23 +20,6 @@ _FORMATS = ("csv", "json", "pgm")
 
 _PI_PATTERN = re.compile(r"^([0-9]*\.?[0-9]*)\s*pi$", re.IGNORECASE)
 
-_CONFIG_KEYS = (
-    "p",
-    "mode",
-    "gamma",
-    "delta",
-    "psi",
-    "mu",
-    "grid",
-    "xrange",
-    "yrange",
-    "out",
-    "format",
-    "psi_start",
-    "psi_stop",
-    "psi_step",
-)
-
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
@@ -96,15 +79,19 @@ class UsageError(ValueError):
     """Bad flag or config value; maps to exit code 2."""
 
 
-def _load_config(path) -> dict:
-    """Config-file values to use as parser defaults; null values fall back to the built-ins."""
+def _load_config(path, commands) -> dict:
+    """Config-file values to use as parser defaults; null values fall back to the built-ins.
+
+    The accepted keys are the flag destinations of the subcommand parsers in ``commands``.
+    """
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}")
     if not isinstance(doc, dict):
         raise UsageError("config file must hold a JSON object")
-    unknown = sorted(set(doc) - set(_CONFIG_KEYS))
+    keys = {dest for command in commands.values() for dest in vars(command.parse_args([]))}
+    unknown = sorted(set(doc) - (keys - {"config", "func"}))
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
     return {key: value for key, value in doc.items() if value is not None}
@@ -379,7 +366,7 @@ def main(argv=None) -> int:
     try:
         if args.config is not None:
             # precedence: explicit flag > config file > built-in default
-            commands[args.command].set_defaults(**_load_config(args.config))
+            commands[args.command].set_defaults(**_load_config(args.config, commands))
             args = parser.parse_args(argv)
         return args.func(args)
     except (UsageError, NoBoundStatesError) as exc:

@@ -74,7 +74,8 @@ class LadderSpectrum:
             raise ValueError("empty ladder")
         log_fact = np.zeros_like(f)
         if f.size > 1:
-            with np.errstate(divide="raise"):
+            # a zero or negative gap logs to -inf or nan; the constructor rejects it
+            with np.errstate(divide="ignore", invalid="ignore"):
                 log_fact[1:] = np.cumsum(np.log(f[1:]))
         return cls(f, log_fact)
 
@@ -250,6 +251,13 @@ class MomentReport:
 
 
 def _axis_expectations(c: np.ndarray, tables: ModeTables, axis: str) -> MomentReport:
+    """<A (x) S> along x or <S (x) A> along y, on the contraction path einsum picks.
+
+    sum_abcd conj(c_ab) c_cd L_ac R_bd = sum_bc [(L^T conj(c))^T]_bc [R c^T]_bc,
+    where the operator A sits in L for x and in R for y; the factor holding
+    the overlap S is formed once.  The final sum is einsum's own dot product,
+    so every value is the one einsum returns.
+    """
     s = tables.overlap_1d
     pairs = {
         "q": tables.position,
@@ -258,13 +266,15 @@ def _axis_expectations(c: np.ndarray, tables: ModeTables, axis: str) -> MomentRe
         "p2": tables.momentum_sq,
     }
     if axis == "x":
-        braket = lambda a: np.einsum("ab,cd,ac,bd->", np.conj(c), c, a, s, optimize=True)
+        right = (s @ c.T).reshape(1, -1)
+        braket = lambda a: (right @ (a.T @ np.conj(c)).T.reshape(-1, 1)).item()
     elif axis == "y":
-        braket = lambda a: np.einsum("ab,cd,ac,bd->", np.conj(c), c, s, a, optimize=True)
+        left = (s.T @ np.conj(c)).T.reshape(-1, 1)
+        braket = lambda a: ((a @ c.T).reshape(1, -1) @ left).item()
     else:
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    norm = complex(braket(s)).real
-    mean = {name: complex(braket(op)) / norm for name, op in pairs.items()}
+    norm = braket(s).real
+    mean = {name: braket(op) / norm for name, op in pairs.items()}
     return MomentReport(
         mode=axis,
         mean_q=mean["q"].real,

@@ -1,5 +1,12 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "MorsekitError",
+    "NoBoundStatesError",
+    "OrderingAmbiguityError",
+    "QuadratureAccuracyError",
+]
+
 
 class MorsekitError(Exception):
     """Base class for all package-specific failures."""

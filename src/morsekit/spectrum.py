@@ -16,7 +16,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation, localcontext
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -121,11 +121,9 @@ class PrincipalParameter:
     ratio: Fraction | None = None
 
     @property
-    def epsilon_exact(self) -> Decimal:
-        """Fractional part of p as an exact Decimal read from p_text."""
-        with localcontext() as ctx:
-            ctx.prec = max(50, len(self.p_text) + 10)
-            return +(Decimal(self.p_text) - self.k)
+    def epsilon_exact(self) -> Fraction:
+        """Fractional part of p as an exact Fraction read from p_text."""
+        return Fraction(_parse_decimal(self.p_text)) - self.k
 
     def state_count(self) -> int:
         """Number of bound states (k + 1)^2."""
@@ -165,12 +163,12 @@ def decompose(p, mode: str, ratio=None) -> PrincipalParameter:
         raise TypeError(f"p must be str, int or float, got {type(p).__name__}")
 
     p_dec = _parse_decimal(p_text)
-    k = int(p_dec)  # floor: p_dec > 0
-    with localcontext() as ctx:
-        ctx.prec = max(50, len(p_text) + 10)
-        eps_dec = +(p_dec - k)
     p_value = float(p_dec)
-    epsilon = float(eps_dec)
+    if not 0.0 < p_value < math.inf:
+        raise ValueError(f"principal parameter must be a positive finite number, got {p_text!r}")
+    k = int(p_dec)  # floor: p_dec > 0
+    eps = Fraction(p_dec) - k
+    epsilon = float(eps)
     if epsilon >= 1.0:
         raise ValueError(
             f"p = {p_text} sits within double rounding of the integer {k + 1}; "
@@ -178,28 +176,29 @@ def decompose(p, mode: str, ratio=None) -> PrincipalParameter:
         )
 
     if mode == INTEGER:
-        if eps_dec != 0:
-            raise ValueError(f"p = {p_text} declared integer but has fractional part {eps_dec}")
+        if eps:
+            _, digits, exponent = p_dec.as_tuple()
+            eps_text = Decimal((0, digits[exponent:], exponent))  # exact: the digits after the point
+            raise ValueError(f"p = {p_text} declared integer but has fractional part {eps_text}")
         return PrincipalParameter(p_text, p_value, k, 0.0, INTEGER, None)
 
     if mode == RATIONAL:
-        eps_frac = Fraction(p_text) - k
         if ratio is None:
-            frac = eps_frac
+            frac = eps
         else:
             frac = Fraction(*ratio) if isinstance(ratio, tuple) else Fraction(ratio)
             if not (0 <= frac < 1):
                 raise ValueError(f"epsilon ratio must lie in [0, 1), got {frac}")
-            if abs(frac - eps_frac) > Fraction(1, 10**12):
+            if abs(frac - eps) > Fraction(1, 10**12):
                 raise ValueError(
-                    f"declared ratio {frac} disagrees with the text value {eps_frac} "
+                    f"declared ratio {frac} disagrees with the text value {eps} "
                     "beyond working precision"
                 )
         return PrincipalParameter(p_text, p_value, k, float(frac), RATIONAL, frac)
 
     # irrational: the text is necessarily a truncation; it must not be an
     # exact integer, which would contradict the declaration outright.
-    if eps_dec == 0:
+    if not eps:
         raise ValueError(f"p = {p_text} declared irrational but is an exact integer")
     return PrincipalParameter(p_text, p_value, k, epsilon, IRRATIONAL, None)
 
@@ -289,14 +288,12 @@ def _classify(members: Sequence[tuple[int, int]]) -> str:
 def _exact_epsilon(param: PrincipalParameter) -> tuple[int, int]:
     """epsilon as integers (N, D) with epsilon = N / D exactly.
 
-    Integer mode has epsilon = 0, rational mode the declared ratio, and
-    irrational mode the exact value of the decimal text.  A key (a, b) then
-    has the exact level value a D + 2 N b, which is -D times its shifted
-    energy: a larger value is a deeper level.
+    Rational mode takes the declared ratio, the other modes the exact value
+    of the decimal text (0 in integer mode).  A key (a, b) then has the
+    exact level value a D + 2 N b, which is -D times its shifted energy: a
+    larger value is a deeper level.
     """
-    if param.mode == INTEGER:
-        return 0, 1
-    frac = param.ratio if param.mode == RATIONAL else Fraction(param.epsilon_exact)
+    frac = param.ratio if param.mode == RATIONAL else param.epsilon_exact
     return frac.numerator, frac.denominator
 
 

@@ -16,6 +16,7 @@ from morsekit import (
     IRRATIONAL,
     RATIONAL,
     Crossing,
+    MomentReport,
     OrderedSpectrum,
     OrderingAmbiguityError,
     enumerate_levels,
@@ -133,6 +134,30 @@ def coherent_coefficient_matrix_sum(state, dim):
     return c
 
 
+def axis_expectations_einsum(c, tables, axis):
+    """Moments along one axis as four-operand einsums, the path left to the planner."""
+    s = tables.overlap_1d
+    pairs = {
+        "q": tables.position,
+        "q2": tables.position_sq,
+        "p": tables.momentum,
+        "p2": tables.momentum_sq,
+    }
+    if axis == "x":
+        braket = lambda a: np.einsum("ab,cd,ac,bd->", np.conj(c), c, a, s, optimize=True)
+    else:
+        braket = lambda a: np.einsum("ab,cd,ac,bd->", np.conj(c), c, s, a, optimize=True)
+    norm = complex(braket(s)).real
+    mean = {name: complex(braket(op)) / norm for name, op in pairs.items()}
+    return MomentReport(
+        mode=axis,
+        mean_q=mean["q"].real,
+        mean_q2=mean["q2"].real,
+        mean_p=(-1j * mean["p"]).real,
+        mean_p2=mean["p2"].real,
+    )
+
+
 def crossing_report_pairs(k, epsilon, tol):
     """crossing_report over every one of the L(L-1)/2 key pairs at once."""
     keys = sorted({level_key(k, n, m) for n in range(k + 1) for m in range(k + 1)})
@@ -160,11 +185,14 @@ def _resolve_float_ties(param, records):
 
     ``records`` arrive sorted by float shifted energy.  Any consecutive run
     whose neighbours differ by at most _ULP_WINDOW ulps is re-keyed as
-    a + 2 eps b with eps taken from the decimal text at full precision.  If
+    a + 2 eps b with eps read here from the decimal text as a Decimal of
+    max(50, len + 10) digits, which holds it exactly.  If
     two distinct keys produce exactly equal Decimal values the declared
     irrationality is contradicted and OrderingAmbiguityError is raised.
     """
-    eps = param.epsilon_exact
+    with localcontext() as ctx:
+        ctx.prec = max(50, len(param.p_text) + 10)
+        eps = +(Decimal(param.p_text) - param.k)
     out = []
     i = 0
     while i < len(records):

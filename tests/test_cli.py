@@ -385,6 +385,36 @@ class TestConfigFile:
         assert code == 0
         assert sorted(f.name for f in out.iterdir()) == ["spectrum.csv", "spectrum.json"]
 
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("spectrum", []),
+            ("degeneracy", []),
+            ("density", ["--mu", "0", "--grid", "8x8"]),
+            ("uncertainty", ["--psi-stop", "0.2"]),
+        ],
+    )
+    def test_every_flag_key_accepted(self, tmp_path, capsys, command, extra):
+        # all 14 flag destinations; null falls back to the flag or built-in default
+        keys = ["p", "mode", "gamma", "delta", "psi", "mu", "grid", "xrange", "yrange", "out", "format",
+                "psi_start", "psi_stop", "psi_step"]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(dict.fromkeys(keys)))
+        argv = [command, "--p", "2.5", "--mode", "rational", *extra]
+        code, out, err = run(capsys, *argv, "--config", str(cfg), "--out", str(tmp_path / "a"))
+        assert (code, err) == (0, "")
+        assert run(capsys, *argv, "--out", str(tmp_path / "b"))[1] == out
+        for path in (tmp_path / "a").iterdir():
+            assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
+
+    @pytest.mark.parametrize("key", ["config", "func", "command"])
+    def test_parser_internal_keys_rejected(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"p": "3pi", key: None}))
+        code, out, err = run(capsys, "spectrum", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert (code, out, err) == (2, "", f"error: unknown config keys: {key}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_other_subcommand_keys_are_ignored(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"p": "3pi", "psi": 0.5, "grid": "10x10", "psi_step": 0.2}))
@@ -400,6 +430,12 @@ class TestExitCodes:
         code, _, err = run(capsys, "spectrum", "--p", "abc", "--mode", "integer", "--out", str(tmp_path))
         assert code == 2
         assert "error:" in err
+
+    def test_p_beyond_double_range(self, tmp_path, capsys):
+        code, out, err = run(capsys, "spectrum", "--p", "1e400", "--mode", "integer", "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == "error: principal parameter must be a positive finite number, got '1e400'\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_mode(self, tmp_path, capsys):
         code, _, err = run(capsys, "spectrum", "--p", "4.5", "--out", str(tmp_path))

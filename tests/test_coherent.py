@@ -4,13 +4,19 @@ import cmath
 import math
 import random
 import sys
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import bg_residual_direct_complex, bg_residual_direct_logexp, coherent_coefficient_matrix_sum
+from oracles import (
+    axis_expectations_einsum,
+    bg_residual_direct_complex,
+    bg_residual_direct_logexp,
+    coherent_coefficient_matrix_sum,
+)
 from scipy.integrate import quad as scipy_quad
 from scipy.special import logsumexp
 
@@ -20,6 +26,7 @@ from morsekit import (
     MorseBasis,
     MuState,
     QuadratureAccuracyError,
+    QuadratureConfig,
     bg_residual,
     bg_residual_direct,
     build_mu_basis,
@@ -34,6 +41,8 @@ from morsekit import (
     pi_multiple_text,
     uncertainty_sweep,
 )
+from morsekit.coherent import _axis_expectations
+from morsekit.states import _expand
 
 
 class TestLadder:
@@ -59,8 +68,11 @@ class TestLadder:
             LadderSpectrum(np.array([0.0, 2.0, 1.0]), np.array([0.0, 0.0, 0.0]))
         with pytest.raises(ValueError):
             LadderSpectrum(np.array([0.0, 1.0]), np.array([0.0]))  # shape mismatch
-        with pytest.raises((ValueError, FloatingPointError)):
-            LadderSpectrum.from_strengths([0.0, 0.0, 1.0])  # zero gap
+        for gaps in ([0.0, 0.0, 1.0], [0.0, -1.0, 1.0]):  # zero gap, negative gap
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="strictly increasing"):
+                    LadderSpectrum.from_strengths(gaps)
 
 
 class TestCoefficients:
@@ -346,6 +358,22 @@ class TestMoments:
         assert report.var_q == pytest.approx(report.mean_q2 - report.mean_q**2, rel=1e-12)
         assert report.dq == pytest.approx(math.sqrt(report.var_q), rel=1e-12)
         assert report.product == pytest.approx(report.var_q * report.var_p, rel=1e-12)
+
+    @pytest.mark.parametrize("text", ["9.3717", "20.3717"])
+    def test_contraction_equals_einsum(self, text):
+        # the written-out path returns einsum's own values, bit for bit
+        spectrum = order_spectrum(decompose(text, "irrational"))
+        basis = MorseBasis(spectrum.parameter)
+        mu_basis = build_mu_basis(spectrum, MixingCoefficients.normalized(0.866, 0.5))
+        ladder = ladder_f(spectrum)
+        states = [mu_basis.states[1], mu_basis.states[-1]]
+        states += [coherent_coefficients(psi, ladder, mu_basis) for psi in (0.4, 1.7, 2.0 + 1.5j)]
+        for quad in (QuadratureConfig(), QuadratureConfig().refined()):
+            tables = basis.mode_tables(quad)
+            for state in states:
+                c, _ = _expand(basis, state)
+                for axis in ("x", "y"):
+                    assert _axis_expectations(c, tables, axis) == axis_expectations_einsum(c, tables, axis)
 
     def test_rejects_unknown_axis(self, basis_3pi, mu_3pi):
         with pytest.raises(ValueError):

@@ -122,6 +122,28 @@ class TestDecompose:
         param = decompose("12.625", RATIONAL)
         assert param.epsilon_exact == Decimal("0.625")
 
+    @pytest.mark.parametrize(
+        "text, mode, expected",
+        [
+            ("12", INTEGER, Fraction(0)),
+            ("12.625", RATIONAL, Fraction(5, 8)),
+            ("3.1415926535897932384626433832795028841971", IRRATIONAL,
+             Fraction(1415926535897932384626433832795028841971, 10**40)),
+        ],
+    )
+    def test_epsilon_exact_is_one_fraction(self, text, mode, expected):
+        param = decompose(text, mode)
+        assert type(param.epsilon_exact) is Fraction
+        assert param.epsilon_exact == expected
+        assert param.k + param.epsilon_exact == Fraction(Decimal(text))
+
+    @pytest.mark.parametrize("text", ["1e400", "1.8e308", "1e-400"])
+    @pytest.mark.parametrize("mode", [INTEGER, RATIONAL, IRRATIONAL])
+    def test_rejects_p_without_a_positive_finite_double(self, text, mode):
+        # 1e400 would give k = 10**400 and an endless enumeration
+        with pytest.raises(ValueError, match=f"must be a positive finite number, got '{text}'"):
+            decompose(text, mode)
+
     def test_state_count_square(self):
         for k in (1, 5, 28):
             assert decompose(str(k), INTEGER).state_count() == (k + 1) ** 2
