@@ -317,13 +317,8 @@ class SweepPoint:
     y: MomentReport
 
 
-def uncertainty_sweep(
-    basis: MorseBasis,
-    mu_basis: MuBasis,
-    psi_values=None,
-    quad: QuadratureConfig | None = None,
-) -> list[SweepPoint]:
-    """Moment reports for a range of coherent-state amplitudes.
+def uncertainty_sweep(basis: MorseBasis, mu_basis: MuBasis, psi_values=None) -> list[SweepPoint]:
+    """Moment reports, on the default rule of ``moments``, for a range of coherent-state amplitudes.
 
     The default sweep covers |Psi| = 0.1 .. 5.0 in steps of 0.1.  Mode
     tables are cached on the basis, so the cost per point is a handful of
@@ -338,21 +333,21 @@ def uncertainty_sweep(
         points.append(
             SweepPoint(
                 psi=complex(psi),
-                x=moments(basis, state, "x", quad),
-                y=moments(basis, state, "y", quad),
+                x=moments(basis, state, "x"),
+                y=moments(basis, state, "y"),
             )
         )
     return points
 
 
-def first_separation(points, threshold: float = 0.01) -> complex | None:
+def first_separation(points) -> complex | None:
     """First sweep amplitude where the x and y uncertainty products split.
 
     Returns the psi of the first point whose products differ relatively by
-    more than ``threshold``, or None if they never do.
+    more than 1%, or None if they never do.
     """
     for point in points:
         scale = max(abs(point.x.product), abs(point.y.product))
-        if scale > 0.0 and abs(point.x.product - point.y.product) > threshold * scale:
+        if scale > 0.0 and abs(point.x.product - point.y.product) > 0.01 * scale:
             return point.psi
     return None

@@ -384,12 +384,7 @@ class MorseBasis:
     def log_norm_1d(self, n: int) -> float:
         """ln N_n with N_n = sqrt(beta (nu - 2n - 1) n! / Gamma(nu - n))."""
         self._check_mode(n)
-        return 0.5 * (
-            math.log(self.beta)
-            + math.log(self.nu - 2.0 * n - 1.0)
-            + log_gamma(n + 1.0)
-            - log_gamma(self.nu - n)
-        )
+        return 0.5 * math.log(self.beta) + _log_norm(self.nu, n)
 
     # -- pointwise evaluation -----------------------------------------------
 
@@ -524,8 +519,7 @@ class MorseBasis:
         rows = np.zeros((self.k + 1, z.size))
         for n in modes:
             sign, log_lag = laguerre_signed_log(n, 2.0 * (self.p - n), z)
-            log_scale = self.log_norm_1d(n) - 0.5 * math.log(self.beta)
-            rows[n] = sign * np.exp(0.5 * log_w + log_scale + (modes[-1] - n) * log_z + log_lag)
+            rows[n] = sign * np.exp(0.5 * log_w + _log_norm(self.nu, n) + (modes[-1] - n) * log_z + log_lag)
         return rows
 
     def mode_tables(self, quad: QuadratureConfig) -> ModeTables:
@@ -561,6 +555,11 @@ class MorseBasis:
         return tables
 
 
+def _log_norm(nu: float, n: int) -> float:
+    """ln(N_n / sqrt(beta)) = ln sqrt((nu - 2n - 1) n! / Gamma(nu - n)) for a bound mode n."""
+    return 0.5 * (math.log(nu - 2.0 * n - 1.0) + log_gamma(n + 1.0) - log_gamma(nu - n))
+
+
 def normalization(nu: float, n: int, m: int, beta: float = 1.0) -> float:
     """2D normalization constant N_{n,m} for a well with the given nu.
 
@@ -574,9 +573,7 @@ def normalization(nu: float, n: int, m: int, beta: float = 1.0) -> float:
             raise ValueError(f"quantum number must be non-negative, got {q}")
         if not nu - (2.0 * q + 1.0) > 0.0:
             raise ValueError(f"mode {q} is unbound: nu - (2n+1) = {nu - (2 * q + 1)!r} <= 0")
-        total += 0.5 * (
-            math.log(nu - 2.0 * q - 1.0) + log_gamma(q + 1.0) - log_gamma(nu - q)
-        )
+        total += _log_norm(nu, q)
     return beta * math.exp(total)
 
 
@@ -611,17 +608,17 @@ def _expand(basis: MorseBasis, state) -> tuple[np.ndarray, list[int]]:
     return c, used
 
 
-def density_grid(basis: MorseBasis, state, grid: GridSpec | None = None, default_n: int = 400) -> ScalarField2D:
+def density_grid(basis: MorseBasis, state, grid: GridSpec | None = None) -> ScalarField2D:
     """|amplitude|^2 of a state sampled on a cell-centered grid.
 
     ``state`` is anything exposing coefficient_matrix(dim): a MuState or a
-    coherent state.  Without an explicit grid, a square default_n x default_n
-    grid over the scanned support box is used.  The amplitude on the grid is
+    coherent state.  Without an explicit grid, a square 400 x 400 grid over
+    the scanned support box is used.  The amplitude on the grid is
     assembled from the 1D mode values, which is exact for product expansions.
     """
     if grid is None:
         lo, hi = basis.support_box()
-        grid = GridSpec(lo, hi, lo, hi, default_n, default_n)
+        grid = GridSpec(lo, hi, lo, hi, 400, 400)
     c, used = _expand(basis, state)
     xs = grid.x_centers()
     ys = grid.y_centers()
@@ -635,14 +632,11 @@ def density_grid(basis: MorseBasis, state, grid: GridSpec | None = None, default
 
 
 def overlap(basis: MorseBasis, state_a, state_b, quad: QuadratureConfig | None = None) -> complex:
-    """<state_a | state_b> = sum conj(C_a) * (S C_b S^T) on ``MorseBasis.overlap_table``.
+    """<state_a | state_b>, the off-diagonal entry of ``gram_matrix`` on the two states.
 
     ``quad`` is unused and kept so that existing calls keep working.
     """
-    c1, _ = _expand(basis, state_a)
-    c2, _ = _expand(basis, state_b)
-    s = basis.overlap_table()
-    return complex(np.vdot(c1, s @ c2 @ s.T))
+    return complex(gram_matrix(basis, [state_a, state_b])[0, 1])
 
 
 def gram_matrix(basis: MorseBasis, states, quad: QuadratureConfig | None = None) -> np.ndarray:

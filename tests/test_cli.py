@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import morsekit
-from morsekit import QuadratureAccuracyError
+from morsekit import QuadratureAccuracyError, cli, coherent, fileio, spectrum, states
 from morsekit.cli import main
 
 
@@ -501,6 +501,40 @@ class TestExitCodes:
         assert code == 4
         assert "quadrature accuracy" in err
 
+    def test_depth_beyond_cap_refused_before_enumeration(self, tmp_path, capsys, monkeypatch):
+        # k = 10**6 would enumerate 10**12 states
+        def explode(*args, **kwargs):
+            raise AssertionError("enumerate_levels ran")
+
+        monkeypatch.setattr(spectrum, "enumerate_levels", explode)
+        code, out, err = run(capsys, "spectrum", "--p", "1000000", "--mode", "integer", "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == f"error: p = 1000000 gives k = 1000000, above the supported depth k <= {spectrum.K_MAX}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, module, name, cap",
+        [
+            (("density", "--p", "3pi", "--mu", "1", "--grid", "100000x100000"),
+             states, "density_grid", cli.MAX_GRID_CELLS),
+            (("uncertainty", "--p", "3pi", "--psi-stop", "1e12", "--psi-step", "1"),
+             coherent, "uncertainty_sweep", cli.MAX_SWEEP_POINTS),
+            # (stop - start) / step overflows to inf
+            (("uncertainty", "--p", "3pi", "--psi-step", "1e-320"),
+             coherent, "uncertainty_sweep", cli.MAX_SWEEP_POINTS),
+        ],
+    )
+    def test_size_beyond_cap_refused_before_allocation(self, argv, module, name, cap, tmp_path, capsys,
+                                                       monkeypatch):
+        def explode(*args, **kwargs):
+            raise AssertionError(f"{name} ran")
+
+        monkeypatch.setattr(module, name, explode)
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and f"at most {cap} are supported" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_mixing_requires_both_halves(self, tmp_path, capsys):
         code, _, err = run(
             capsys,
@@ -626,6 +660,48 @@ def test_golden_bytes(command, tmp_path, capsys):
         f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(tmp_path.iterdir())
     }
     assert written == GOLDEN_RUNS[command]["files"]
+
+
+# Every library call the CLI makes, with a run that reaches it.  The CLI looks
+# each name up on its module at call time, so a replaced attribute (a
+# benchmark span, a test double) is the one that runs.
+DENSITY_RUN = ("density", "--p", "3pi", "--psi", "0.5", "--grid", "12x10")
+UNCERTAINTY_RUN = ("uncertainty", "--p", "3pi", "--psi-stop", "0.3")
+CLI_CALLS = [
+    (fileio, "write_spectrum_csv", ("spectrum", "--p", "3pi")),
+    (fileio, "write_spectrum_json", ("spectrum", "--p", "3pi")),
+    (fileio, "write_density_csv", DENSITY_RUN),
+    (fileio, "write_density_pgm", DENSITY_RUN),
+    (fileio, "write_density_meta", DENSITY_RUN),
+    (fileio, "write_coherent_json", DENSITY_RUN),
+    (fileio, "write_sweep_csv", UNCERTAINTY_RUN),
+    (spectrum, "decompose", ("spectrum", "--p", "3pi")),
+    (spectrum, "order_spectrum", ("spectrum", "--p", "3pi")),
+    (spectrum, "count_summary", ("degeneracy", "--p", "3pi")),
+    (states, "build_mu_basis", DENSITY_RUN),
+    (states, "density_grid", DENSITY_RUN),
+    (coherent, "ladder_f", DENSITY_RUN),
+    (coherent, "coherent_coefficients", DENSITY_RUN),
+    (coherent, "bg_residual", DENSITY_RUN),
+    (coherent, "uncertainty_sweep", UNCERTAINTY_RUN),
+]
+
+
+@pytest.mark.parametrize(
+    "module, name, argv", CLI_CALLS, ids=[f"{m.__name__}.{n}" for m, n, _ in CLI_CALLS]
+)
+def test_cli_calls_the_module_attribute(module, name, argv, tmp_path, capsys, monkeypatch):
+    calls = []
+    original = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert calls
 
 
 def test_cli_runs_without_scipy(tmp_path):

@@ -420,8 +420,8 @@ class TestSweep:
             return float(np.searchsorted(running, 0.5) + 1) / weights.size
 
         coherent = coherent_coefficients(0.1, ladder_3pi, mu_3pi)
-        frac_coherent = half_mass_fraction(density_grid(basis_3pi, coherent, default_n=250))
-        frac_level = half_mass_fraction(density_grid(basis_3pi, mu_3pi.states[18], default_n=250))
+        frac_coherent = half_mass_fraction(density_grid(basis_3pi, coherent))
+        frac_level = half_mass_fraction(density_grid(basis_3pi, mu_3pi.states[18]))
         assert frac_coherent < frac_level
 
 

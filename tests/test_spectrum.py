@@ -18,6 +18,7 @@ from morsekit import (
     DOUBLET,
     INTEGER,
     IRRATIONAL,
+    K_MAX,
     RATIONAL,
     SINGLET,
     CountSummary,
@@ -159,6 +160,20 @@ class TestDecompose:
     def test_k_zero_is_allowed(self):
         assert decompose("0.5", RATIONAL).k == 0
         assert decompose("0.5000000001", IRRATIONAL).k == 0
+
+    @pytest.mark.parametrize("mode", [INTEGER, RATIONAL, IRRATIONAL])
+    def test_depth_cap(self, mode):
+        # decompose only: k = K_MAX is accepted, one more is refused before any enumeration
+        assert decompose(f"{K_MAX}.5" if mode != INTEGER else str(K_MAX), mode).k == K_MAX
+        text = f"{K_MAX + 1}.5" if mode != INTEGER else "1000000"
+        with pytest.raises(ValueError, match=f"above the supported depth k <= {K_MAX}"):
+            decompose(text, mode)
+
+    def test_numbers_read_as_their_text(self):
+        assert decompose(12, INTEGER) == decompose("12", INTEGER)
+        assert decompose(7.5, RATIONAL) == decompose(" 7.5 ", RATIONAL)
+        for ratio in (Fraction(1, 2), "1/2", 0.5):
+            assert decompose("7.5", RATIONAL, ratio).ratio == Fraction(1, 2)
 
 
 class TestEnergies:

@@ -321,11 +321,11 @@ class TestQuadratureConfig:
 
 class TestDensity:
     def test_riemann_sum_near_unity(self, basis_3pi, mu_3pi):
-        field = density_grid(basis_3pi, mu_3pi.states[18], default_n=300)
+        field = density_grid(basis_3pi, mu_3pi.states[18])
         assert field.riemann_sum() == pytest.approx(1.0, abs=0.02)
 
     def test_equal_mix_density_is_transpose_symmetric(self, basis_3pi, mu_3pi):
-        field = density_grid(basis_3pi, mu_3pi.states[18], default_n=200)
+        field = density_grid(basis_3pi, mu_3pi.states[18])
         assert np.allclose(field.values, field.values.T, atol=1e-13)
 
     def test_swapped_mix_transposes_the_field(self, basis_3pi, spectrum_3pi):
