@@ -217,22 +217,31 @@ def _parse_formats(text) -> set[str]:
 
 
 def _setup(args, mixing: bool = False):
-    """Principal parameter, mixing pair (or None), output directory and formats, in that order."""
+    """Principal parameter, mixing pair (or None), output directory and formats, in that order.
+
+    The output directory is only checked here: its nearest existing ancestor
+    (itself included) must be a directory.  ``_write`` creates it, so a run
+    refused later leaves nothing behind.
+    """
     param = _parse_principal(args.p, args.mode)
     coeffs = _parse_mixing(args) if mixing else None
     out = Path(str(args.out))
-    out.mkdir(parents=True, exist_ok=True)
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise UsageError(f"--out {str(args.out)!r}: {str(existing)!r} exists and is not a directory")
     return param, coeffs, out, _parse_formats(args.format)
 
 
 def _write(out: Path, formats, outputs, summary: str | None = None) -> None:
     """Call writer(out / name, *args) for each (format, name, writer, *args) whose format was chosen.
 
-    ``summary`` is printed once the files are written, then the names written.
+    The output directory is created before the first writer runs.  ``summary``
+    is printed once the files are written, then the names written.
     """
     written = []
     for fmt, name, writer, *writer_args in outputs:
         if fmt in formats:
+            out.mkdir(parents=True, exist_ok=True)
             writer(out / name, *writer_args)
             written.append(name)
     if summary is not None:

@@ -106,13 +106,16 @@ def _dump_json(path, doc) -> None:
 
 
 def write_density_csv(path, field: ScalarField2D) -> None:
-    """x, y, value rows; x is the outer loop, y the inner one."""
+    """x, y, value rows; x is the outer loop, y the inner one.
+
+    Written one x value at a time, so the text in memory is one grid row.
+    """
     xs = [repr(x) for x in field.spec.x_centers().tolist()]
     ys = [repr(y) for y in field.spec.y_centers().tolist()]
-    lines = ["x,y,value"]
-    for x, row in zip(xs, field.values.tolist()):
-        lines.extend(f"{x},{y},{v!r}" for y, v in zip(ys, row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w", newline="\n") as out:
+        out.write("x,y,value\n")
+        for x, row in zip(xs, field.values):
+            out.write("".join(f"{x},{y},{v!r}\n" for y, v in zip(ys, row.tolist())))
 
 
 def write_density_pgm(path, field: ScalarField2D) -> None:

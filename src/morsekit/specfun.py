@@ -5,10 +5,18 @@ few hundred), where Gamma factors and Laguerre values overflow double
 precision by thousands of orders of magnitude.  The public entry points are
 ``log_gamma`` and ``laguerre_signed_log``.  Only numpy and the standard
 library are needed.
+
+``laguerre_signed_log`` evaluates one polynomial, or many rows (n_i, alpha_i)
+in a single upward pass: the bound-state code needs every mode of a well on
+one node set, and one pass over j = 1 .. max n costs K steps where one call
+per mode costs K^2 / 2.  Each element sees the same floating-point operations
+in the same order either way, so a row equals the single-row call bit for
+bit.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -23,6 +31,11 @@ __all__ = [
 _RESCALE_THRESHOLD = 1.0e250
 _RESCALE_FACTOR = 2.0**-512
 _RESCALE_LOG = 512.0 * np.log(2.0)
+
+# Elements per block of rows in the row form: the working arrays of one block
+# stay in cache, and the recurrence's scratch memory stays bounded however
+# many rows are asked for.
+_BLOCK = 2**15
 
 
 def _prepare(x) -> tuple[np.ndarray, bool]:
@@ -114,36 +127,95 @@ def log_gamma(x):
     return np.array([_lgam(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
 
 
-def laguerre_signed_log(n: int, alpha: float, x) -> tuple[np.ndarray, np.ndarray]:
+def laguerre_signed_log(n, alpha, x) -> tuple[np.ndarray, np.ndarray]:
     """Sign and log of |L_n^alpha(x)|, immune to overflow.
 
     Runs the upward recurrence
     j L_j = (2j - 1 + alpha - x) L_{j-1} - (j - 1 + alpha) L_{j-2} from
-    L_0 = 1, and rescales both running values by an exact power of two
-    whenever they threaten the top of the double range, accumulating the
-    shed magnitude in log space.
+    L_0 = 1, and rescales both running values by the exact factor 2^-512
+    whenever the new one exceeds 1e250, accumulating the shed magnitude in
+    log space.  A rescale brings any finite value below 1e250, so after every
+    step both running values are at most 1e250; the new previous value is
+    the old current one, and testing the new value alone is the same as
+    testing both.
 
-    Returns ``(sign, log_abs)`` as float arrays (scalars in, scalars out);
-    ``log_abs`` is ``-inf`` where the polynomial vanishes exactly.
+    Returns ``(sign, log_abs)`` as float arrays of the shape of ``x`` (scalars
+    in, scalars out); ``log_abs`` is ``-inf`` where the polynomial vanishes
+    exactly.
+
+    ``n`` and ``alpha`` may also be equal-length 1D arrays with ``n``
+    ascending.  The result then holds one row per pair (n_i, alpha_i), of
+    shape ``(len(n),) + x.shape``, from one pass over j = 1 .. max n in which
+    row i stops advancing after step n_i.  Every element of a row sees the
+    same operations in the same order, and the same rescales at the same
+    steps, as in the call for (n_i, alpha_i) alone, so the two agree bit for
+    bit.
     """
-    if n < 0:
+    degrees = np.asarray(n)
+    alphas = np.asarray(alpha, dtype=float)
+    rowwise = degrees.ndim == 1
+    if rowwise and (alphas.shape != degrees.shape or np.any(np.diff(degrees) < 0)):
+        raise ValueError("row form needs equal-length 1D degrees and alphas, degrees ascending")
+    if (degrees < 0).any():
         raise ValueError("polynomial degree must be non-negative")
-    if alpha <= -1.0:
+    if (alphas <= -1.0).any():
         raise ValueError("alpha must exceed -1 for an orthogonal family")
     arr, scalar = _prepare(x)
-    prev = np.zeros_like(arr)
-    cur = np.ones_like(arr)
-    shift = np.zeros_like(arr)
-    for j in range(1, n + 1):
-        prev, cur = cur, ((2.0 * j - 1.0 + alpha - arr) * cur - (j - 1.0 + alpha) * prev) / j
-        big = np.maximum(np.abs(cur), np.abs(prev)) > _RESCALE_THRESHOLD
-        if np.any(big):
-            cur = np.where(big, cur * _RESCALE_FACTOR, cur)
-            prev = np.where(big, prev * _RESCALE_FACTOR, prev)
-            shift = np.where(big, shift + _RESCALE_LOG, shift)
-    sign = np.sign(cur)
-    with np.errstate(divide="ignore"):
-        log_abs = np.log(np.abs(cur)) + shift
+    flat = arr.reshape(-1)
+    degrees, alphas = degrees.reshape(-1), alphas.reshape(-1)
+    sign = np.empty((degrees.size, flat.size))
+    log_abs = np.empty_like(sign)
+    # a block's working arrays (x.size per row) and step coefficients (max n
+    # per row) hold at most _BLOCK elements each
+    rows = max(1, _BLOCK // max(1, flat.size, int(degrees.max(initial=0))))
+    for lo in range(0, degrees.size, rows):
+        block = slice(lo, lo + rows)
+        _recur(degrees[block].tolist(), alphas[block, None], flat, sign[block], log_abs[block])
+    if rowwise:
+        return sign.reshape(degrees.shape + arr.shape), log_abs.reshape(degrees.shape + arr.shape)
     if scalar:
-        return float(sign), float(log_abs)
-    return sign, log_abs
+        return float(sign[0, 0]), float(log_abs[0, 0])
+    return sign[0].reshape(arr.shape), log_abs[0].reshape(arr.shape)
+
+
+def _recur(degrees: list, alpha: np.ndarray, x: np.ndarray, sign: np.ndarray, log_abs: np.ndarray) -> None:
+    """One block of rows: ascending ``degrees``, ``alpha`` a column, 1D ``x``; fills ``sign`` and ``log_abs``.
+
+    The working arrays hold the unfinished rows only.  Once row i reaches
+    degree n_i its value and shed log move to the outputs, and every working
+    array drops its leading finished rows, so later steps skip them.
+    """
+    shape = (len(degrees), x.size)
+    cur, prev, new, tmp = np.ones(shape), np.zeros(shape), np.empty(shape), np.empty(shape)
+    shift = np.zeros(shape)
+    # the step coefficients 2j - 1 + alpha and j - 1 + alpha, one (rows, 1) slab per j
+    steps = np.arange(1.0, degrees[-1] + 1.0)[:, None, None]
+    grow, keep = 2.0 * steps - 1.0 + alpha, steps - 1.0 + alpha
+    done = 0
+    for j in range(1, degrees[-1] + 2):
+        if degrees[done] < j:  # rows of degree j - 1 are complete
+            stop = bisect.bisect_left(degrees, j, done)
+            sign[done:stop] = cur[: stop - done]
+            log_abs[done:stop] = shift[: stop - done]
+            cur, prev, new, tmp, shift = (a[stop - done :] for a in (cur, prev, new, tmp, shift))
+            grow, keep = grow[:, stop - done :], keep[:, stop - done :]
+            done = stop
+            if done == len(degrees):
+                break
+        np.subtract(grow[j - 1], x, out=tmp)
+        np.multiply(tmp, cur, out=tmp)
+        np.multiply(keep[j - 1], prev, out=new)
+        np.subtract(tmp, new, out=new)
+        np.divide(new, j, out=new)
+        # Only the new value can cross the threshold (see the docstring).  A
+        # NaN max also fails "<=", and the elementwise test then picks out
+        # exactly the elements above the threshold, as NaN never is.
+        if not np.abs(new, out=tmp).max(initial=0.0) <= _RESCALE_THRESHOLD:
+            big = tmp > _RESCALE_THRESHOLD
+            np.multiply(new, _RESCALE_FACTOR, out=new, where=big)
+            np.multiply(cur, _RESCALE_FACTOR, out=cur, where=big)
+            np.add(shift, _RESCALE_LOG, out=shift, where=big)
+        cur, prev, new = new, cur, prev
+    with np.errstate(divide="ignore"):
+        log_abs += np.log(np.abs(sign))
+    np.sign(sign, out=sign)

@@ -51,6 +51,10 @@ _TABLE_TOL, _CHECK_NODES = 1.0e-7, 8
 # 1D density below this fraction of its peak counts as outside the support.
 _SUPPORT_CUT = 1.0e-14
 
+# Modes a support scan evaluates at once: 16 rows of 4097 samples keep each
+# of the scan's arrays at 0.5 MB however deep the well.
+_SCAN_ROWS = 16
+
 # exp() argument cap: beyond this the Gaussian-type factor exp(-z/2) has
 # already driven the mode to an exact zero, so clipping z is lossless.
 _LOG_Z_CAP = 705.0
@@ -388,100 +392,118 @@ class MorseBasis:
 
     # -- pointwise evaluation -----------------------------------------------
 
-    def _log_z(self, x: np.ndarray) -> np.ndarray:
-        # z = nu exp(-beta x) evaluated in log space; never overflows.
-        return math.log(self.nu) - self.beta * x
-
-    def _envelope(self, n: int, log_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """z clipped at exp(705), and ln N_n + (p - n) ln z - z/2 of the mode profile."""
+    def _envelope(self, modes: np.ndarray, log_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """z clipped at exp(705), and ln N_n + (p - n) ln z - z/2 of the mode profile, one row per mode."""
         z = np.exp(np.minimum(log_z, _LOG_Z_CAP))
+        log_norm = np.array([self.log_norm_1d(n) for n in modes.tolist()])
         with np.errstate(over="ignore"):
-            return z, self.log_norm_1d(n) + (self.p - n) * log_z - 0.5 * z
+            return z, log_norm[:, None] + (self.p - modes)[:, None] * log_z - 0.5 * z
+
+    def _rows(self, modes, x: np.ndarray, derivative: bool = False):
+        """phi_n on the 1D positions x, one row per mode (ascending); with ``derivative``, also phi_n'.
+
+        phi_n(x) = N_n z^(p-n) exp(-z/2) L_n^a(z), a = 2(p-n).  The prefactor
+        is assembled in log space; z itself is clipped at exp(705) where the
+        exp(-z/2) factor already guarantees an exact underflow to zero.  With
+        d/dx = -beta z d/dz and d/dz L_n^a = -L_{n-1}^{a+1} the chain rule gives
+        phi_n'(x) = -beta N_n z^(p-n) exp(-z/2)
+                    [ (p - n - z/2) L_n^a(z) - z L_{n-1}^{a+1}(z) ],
+        with the second bracket term absent for n = 0.  All modes share one
+        Laguerre pass per family.
+        """
+        modes = np.asarray(modes)
+        alpha = 2.0 * (self.p - modes)
+        # ln z = ln nu - beta x never overflows
+        z, log_pre = self._envelope(modes, math.log(self.nu) - self.beta * x)
+        phi, log_lag = laguerre_signed_log(modes, alpha, z)  # phi holds the signs until scaled
+        log_lag += log_pre
+        phi *= np.exp(np.minimum(log_lag, _LOG_Z_CAP, out=log_lag), out=log_lag)
+        if not derivative:
+            return phi
+        # each table is modes x samples: free it before the next one is made
+        del log_lag
+        first = int(np.searchsorted(modes, 1))
+        term, log_d = laguerre_signed_log(modes[first:] - 1, alpha[first:] + 1.0, z)  # signs, as above
+        log_d += log_pre[first:]
+        term *= z
+        term *= np.exp(np.minimum(log_d, _LOG_Z_CAP, out=log_d), out=log_d)
+        del log_d, log_pre
+        bracket = (self.p - modes)[:, None] - 0.5 * z
+        bracket *= phi
+        bracket[first:] -= term
+        bracket *= -self.beta
+        return phi, bracket
 
     def mode_values(self, n: int, x) -> np.ndarray:
-        """phi_n on the given positions (scalar or array), as exact doubles.
-
-        phi_n(x) = N_n z^(p-n) exp(-z/2) L_n^(2(p-n))(z).  The prefactor is
-        assembled in log space; z itself is clipped at exp(705) where the
-        exp(-z/2) factor already guarantees an exact underflow to zero.
-        """
-        self._check_mode(n)
+        """phi_n on the given positions (scalar or array), as exact doubles; see ``_rows``."""
         arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        z, log_pre = self._envelope(n, self._log_z(arr))
-        sign, log_lag = laguerre_signed_log(n, 2.0 * (self.p - n), z)
-        vals = sign * np.exp(np.minimum(log_pre + log_lag, _LOG_Z_CAP))
-        if scalar:
-            return float(vals)
-        return vals
+        vals = self._rows([n], arr.reshape(-1))[0].reshape(arr.shape)
+        return float(vals) if arr.ndim == 0 else vals
 
     def mode_derivative_values(self, n: int, x) -> np.ndarray:
-        """d phi_n / dx, using d/dx = -beta z d/dz on the z-space profile.
-
-        With d/dz L_n^a = -L_{n-1}^{a+1} the chain rule gives
-        phi_n'(x) = -beta N_n z^(p-n) exp(-z/2)
-                    [ (p - n - z/2) L_n^a(z) - z L_{n-1}^{a+1}(z) ],  a = 2(p-n),
-        with the second bracket term absent for n = 0.
-        """
-        self._check_mode(n)
+        """d phi_n / dx on the given positions (scalar or array); see ``_rows``."""
         arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        z, log_pre = self._envelope(n, self._log_z(arr))
-        alpha = 2.0 * (self.p - n)
-        sign_l, log_l = laguerre_signed_log(n, alpha, z)
-        bracket = (self.p - n - 0.5 * z) * sign_l * np.exp(np.minimum(log_pre + log_l, _LOG_Z_CAP))
-        if n > 0:
-            sign_d, log_d = laguerre_signed_log(n - 1, alpha + 1.0, z)
-            bracket = bracket - z * sign_d * np.exp(np.minimum(log_pre + log_d, _LOG_Z_CAP))
-        vals = -self.beta * bracket
-        if scalar:
-            return float(vals)
-        return vals
+        vals = self._rows([n], arr.reshape(-1), derivative=True)[1][0].reshape(arr.shape)
+        return float(vals) if arr.ndim == 0 else vals
 
     # -- support scans --------------------------------------------------------
 
     def mode_box(self, n: int) -> tuple[float, float]:
         """x-interval outside which |phi_n|^2 stays below 1e-14 of its peak."""
         self._check_mode(n)
-        if n in self._boxes:
-            return self._boxes[n]
-        # scan in u = ln z; u decreasing <-> x increasing.  Start around the
-        # classically allowed region and push both edges out until the log
-        # density drops below the threshold.
-        lo_u, hi_u = -8.0, math.log(4.0 * self.nu + 50.0)
-        log_cut = math.log(_SUPPORT_CUT)
-        for _ in range(200):
-            us = np.linspace(lo_u, hi_u, 4097)
-            z, log_pre = self._envelope(n, us)
-            _, log_lag = laguerre_signed_log(n, 2.0 * (self.p - n), z)
-            g = 2.0 * (log_pre + log_lag)
-            threshold = g.max() + log_cut
-            grow_lo = g[0] > threshold
-            grow_hi = g[-1] > threshold
-            if not grow_lo and not grow_hi:
-                break
-            span = hi_u - lo_u
-            if grow_lo:
-                lo_u -= 0.5 * span
-            if grow_hi:
-                hi_u += 0.25 * span
-        else:
-            raise RuntimeError(f"support scan for mode {n} failed to localize the density")
-        above = np.nonzero(g > threshold)[0]
-        du = us[1] - us[0]
-        u_lo = us[above[0]] - du
-        u_hi = us[above[-1]] + du
-        box = (
-            (math.log(self.nu) - u_hi) / self.beta,
-            (math.log(self.nu) - u_lo) / self.beta,
-        )
-        self._boxes[n] = box
-        return box
+        self._scan([n])
+        return self._boxes[n]
 
     def support_box(self) -> tuple[float, float]:
         """Union of the boxes of every bound mode."""
-        boxes = [self.mode_box(n) for n in self.bound_modes()]
+        modes = self.bound_modes()
+        self._scan(modes)
+        boxes = [self._boxes[n] for n in modes]
         return min(b[0] for b in boxes), max(b[1] for b in boxes)
+
+    def _scan(self, modes) -> None:
+        """Find and cache the box of every mode in ``modes`` not cached yet.
+
+        The scan runs in u = ln z (u decreasing <-> x increasing).  Every mode
+        starts on a window around the classically allowed region, sampled at
+        4097 points; while the log density at an end of its window is still
+        above the cut, that edge moves out and the mode is scanned again.
+        Modes on the same window are scanned together, _SCAN_ROWS at a time.
+        """
+        log_cut = math.log(_SUPPORT_CUT)
+        windows = {(-8.0, math.log(4.0 * self.nu + 50.0)): [n for n in modes if n not in self._boxes]}
+        for _ in range(200):
+            grown: dict = {}
+            for (lo_u, hi_u), group in windows.items():
+                us = np.linspace(lo_u, hi_u, 4097)
+                du = us[1] - us[0]
+                for i in range(0, len(group), _SCAN_ROWS):
+                    chunk = np.array(sorted(group[i : i + _SCAN_ROWS]))
+                    z, log_pre = self._envelope(chunk, us)
+                    _, log_lag = laguerre_signed_log(chunk, 2.0 * (self.p - chunk), z)
+                    g = 2.0 * (log_pre + log_lag)
+                    thresholds = g.max(axis=1) + log_cut
+                    for n, row, threshold in zip(chunk.tolist(), g, thresholds.tolist()):
+                        grow_lo = row[0] > threshold
+                        grow_hi = row[-1] > threshold
+                        if grow_lo or grow_hi:
+                            span = hi_u - lo_u
+                            lo = lo_u - 0.5 * span if grow_lo else lo_u
+                            hi = hi_u + 0.25 * span if grow_hi else hi_u
+                            grown.setdefault((lo, hi), []).append(n)
+                            continue
+                        above = np.nonzero(row > threshold)[0]
+                        u_lo = us[above[0]] - du
+                        u_hi = us[above[-1]] + du
+                        self._boxes[n] = (
+                            (math.log(self.nu) - u_hi) / self.beta,
+                            (math.log(self.nu) - u_lo) / self.beta,
+                        )
+            windows = grown
+            if not windows:
+                return
+        failed = min(n for group in windows.values() for n in group)
+        raise RuntimeError(f"support scan for mode {failed} failed to localize the density")
 
     # -- quadrature tables ----------------------------------------------------
 
@@ -513,14 +535,13 @@ class MorseBasis:
     def _overlap_rows(self, nodes: int, alpha: float) -> np.ndarray:
         # h_n(z_i) = sqrt(w_i) N_n / sqrt(beta) z_i^(K-n) L_n^(2(p-n))(z_i), so that
         # S = H H^T.  Each |h_n(z_i)| <= 1 because sum_i h_n(z_i)^2 = S[n, n].
-        modes = self.bound_modes()
+        modes = np.array(self.bound_modes())
         z, log_w = _gauss_laguerre(nodes, alpha)
         log_z = np.log(z)
-        rows = np.zeros((self.k + 1, z.size))
-        for n in modes:
-            sign, log_lag = laguerre_signed_log(n, 2.0 * (self.p - n), z)
-            rows[n] = sign * np.exp(0.5 * log_w + _log_norm(self.nu, n) + (modes[-1] - n) * log_z + log_lag)
-        return rows
+        sign, log_lag = laguerre_signed_log(modes, 2.0 * (self.p - modes), z)
+        log_norm = np.array([_log_norm(self.nu, n) for n in modes.tolist()])
+        rows = sign * np.exp(0.5 * log_w + log_norm[:, None] + (modes[-1] - modes)[:, None] * log_z + log_lag)
+        return _padded(rows, modes, self.k + 1)
 
     def mode_tables(self, quad: QuadratureConfig) -> ModeTables:
         """All 1D matrices needed for moments on the support box, cached per rule."""
@@ -534,11 +555,7 @@ class MorseBasis:
         x, w = quad.nodes(box[0], box[1], split=split)
         modes = self.bound_modes()
         dim = self.k + 1
-        f = np.zeros((dim, x.size))
-        df = np.zeros((dim, x.size))
-        for n in modes:
-            f[n] = self.mode_values(n, x)
-            df[n] = self.mode_derivative_values(n, x)
+        f, df = (_padded(rows, modes, dim) for rows in self._rows(modes, x, derivative=True))
         fw = f * w
         dfw = df * w
         hbar = self.physical.hbar
@@ -553,6 +570,13 @@ class MorseBasis:
         )
         self._tables[key] = tables
         return tables
+
+
+def _padded(rows: np.ndarray, modes, dim: int) -> np.ndarray:
+    """The rows of ``modes`` placed in a (dim x samples) table whose other rows are zero."""
+    table = np.zeros((dim, rows.shape[1]))
+    table[modes] = rows
+    return table
 
 
 def _log_norm(nu: float, n: int) -> float:
@@ -622,11 +646,8 @@ def density_grid(basis: MorseBasis, state, grid: GridSpec | None = None) -> Scal
     c, used = _expand(basis, state)
     xs = grid.x_centers()
     ys = grid.y_centers()
-    fx = np.zeros((basis.k + 1, xs.size))
-    fy = np.zeros((basis.k + 1, ys.size))
-    for n in used:
-        fx[n] = basis.mode_values(n, xs)
-        fy[n] = basis.mode_values(n, ys)
+    fx = _padded(basis._rows(used, xs), used, basis.k + 1)
+    fy = _padded(basis._rows(used, ys), used, basis.k + 1)
     amplitude = fx.T @ c @ fy
     return ScalarField2D(grid, np.abs(amplitude) ** 2)
 

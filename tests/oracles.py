@@ -16,6 +16,7 @@ from morsekit import (
     IRRATIONAL,
     RATIONAL,
     Crossing,
+    ModeTables,
     MomentReport,
     OrderedSpectrum,
     OrderingAmbiguityError,
@@ -23,6 +24,7 @@ from morsekit import (
     level_key,
     log_bg_residual,
 )
+from morsekit.states import _gauss_laguerre, _log_norm
 
 # Adjacent float energies closer than this many ulps are re-compared exactly.
 _ULP_WINDOW = 8
@@ -52,6 +54,147 @@ def laguerre_derivative(n, alpha, x):
         out = np.zeros_like(np.asarray(x, dtype=float))
         return float(out) if out.ndim == 0 else out
     return -laguerre(n - 1, alpha + 1.0, x)
+
+
+def laguerre_signed_log_single(n, alpha, x):
+    """laguerre_signed_log for one (n, alpha), with fresh arrays at every step.
+
+    Both running values are rescaled by 2^-512 wherever either exceeds 1e250.
+    """
+    if n < 0:
+        raise ValueError("polynomial degree must be non-negative")
+    if alpha <= -1.0:
+        raise ValueError("alpha must exceed -1 for an orthogonal family")
+    arr = np.asarray(x, dtype=float)
+    prev = np.zeros_like(arr)
+    cur = np.ones_like(arr)
+    shift = np.zeros_like(arr)
+    for j in range(1, n + 1):
+        prev, cur = cur, ((2.0 * j - 1.0 + alpha - arr) * cur - (j - 1.0 + alpha) * prev) / j
+        big = np.maximum(np.abs(cur), np.abs(prev)) > 1.0e250
+        if np.any(big):
+            cur = np.where(big, cur * 2.0**-512, cur)
+            prev = np.where(big, prev * 2.0**-512, prev)
+            shift = np.where(big, shift + 512.0 * np.log(2.0), shift)
+    sign = np.sign(cur)
+    with np.errstate(divide="ignore"):
+        log_abs = np.log(np.abs(cur)) + shift
+    if arr.ndim == 0:
+        return float(sign), float(log_abs)
+    return sign, log_abs
+
+
+# The mode loops below evaluate one 1D Morse mode at a time, each with its own
+# Laguerre recurrence from L_0: phi_n = N_n z^(p-n) e^(-z/2) L_n^(2(p-n))(z)
+# with z = nu e^(-beta x), clipped at e^705 where e^(-z/2) is already zero.
+_LOG_Z_CAP = 705.0
+
+
+def _mode_envelope(basis, n, log_z):
+    z = np.exp(np.minimum(log_z, _LOG_Z_CAP))
+    with np.errstate(over="ignore"):
+        return z, basis.log_norm_1d(n) + (basis.p - n) * log_z - 0.5 * z
+
+
+def mode_values_loop(basis, n, x):
+    """phi_n on the positions x."""
+    z, log_pre = _mode_envelope(basis, n, math.log(basis.nu) - basis.beta * x)
+    sign, log_lag = laguerre_signed_log_single(n, 2.0 * (basis.p - n), z)
+    return sign * np.exp(np.minimum(log_pre + log_lag, _LOG_Z_CAP))
+
+
+def mode_derivative_loop(basis, n, x):
+    """phi_n' = -beta N_n z^(p-n) e^(-z/2) [(p - n - z/2) L_n^a(z) - z L_{n-1}^{a+1}(z)], a = 2(p-n)."""
+    z, log_pre = _mode_envelope(basis, n, math.log(basis.nu) - basis.beta * x)
+    alpha = 2.0 * (basis.p - n)
+    sign_l, log_l = laguerre_signed_log_single(n, alpha, z)
+    bracket = (basis.p - n - 0.5 * z) * sign_l * np.exp(np.minimum(log_pre + log_l, _LOG_Z_CAP))
+    if n > 0:
+        sign_d, log_d = laguerre_signed_log_single(n - 1, alpha + 1.0, z)
+        bracket = bracket - z * sign_d * np.exp(np.minimum(log_pre + log_d, _LOG_Z_CAP))
+    return -basis.beta * bracket
+
+
+def mode_box_scan(basis, n):
+    """Box of one mode: widen a 4097-point window in u = ln z until both ends fall below the cut."""
+    lo_u, hi_u = -8.0, math.log(4.0 * basis.nu + 50.0)
+    log_cut = math.log(1.0e-14)
+    for _ in range(200):
+        us = np.linspace(lo_u, hi_u, 4097)
+        z, log_pre = _mode_envelope(basis, n, us)
+        _, log_lag = laguerre_signed_log_single(n, 2.0 * (basis.p - n), z)
+        g = 2.0 * (log_pre + log_lag)
+        threshold = g.max() + log_cut
+        grow_lo = g[0] > threshold
+        grow_hi = g[-1] > threshold
+        if not grow_lo and not grow_hi:
+            break
+        span = hi_u - lo_u
+        if grow_lo:
+            lo_u -= 0.5 * span
+        if grow_hi:
+            hi_u += 0.25 * span
+    else:
+        raise RuntimeError(f"support scan for mode {n} failed to localize the density")
+    above = np.nonzero(g > threshold)[0]
+    du = us[1] - us[0]
+    u_lo = us[above[0]] - du
+    u_hi = us[above[-1]] + du
+    return (math.log(basis.nu) - u_hi) / basis.beta, (math.log(basis.nu) - u_lo) / basis.beta
+
+
+def support_box_loop(basis):
+    boxes = [mode_box_scan(basis, n) for n in basis.bound_modes()]
+    return min(b[0] for b in boxes), max(b[1] for b in boxes)
+
+
+def mode_tables_loop(basis, quad):
+    """MorseBasis.mode_tables with every mode and derivative row built by the loops above."""
+    lo, hi = support_box_loop(basis)
+    x, w = quad.nodes(lo, hi, split=(math.log(basis.nu) + 3.0) / basis.beta)
+    f = np.zeros((basis.k + 1, x.size))
+    df = np.zeros((basis.k + 1, x.size))
+    for n in basis.bound_modes():
+        f[n] = mode_values_loop(basis, n, x)
+        df[n] = mode_derivative_loop(basis, n, x)
+    fw = f * w
+    dfw = df * w
+    hbar = basis.physical.hbar
+    return ModeTables(
+        x=x,
+        w=w,
+        overlap_1d=fw @ f.T,
+        position=(fw * x) @ f.T,
+        position_sq=(fw * x * x) @ f.T,
+        momentum=hbar * (fw @ df.T),
+        momentum_sq=hbar * hbar * (dfw @ df.T),
+    )
+
+
+def density_grid_loop(basis, state, grid):
+    """density_grid values with the mode rows of each axis built one mode at a time."""
+    c = state.coefficient_matrix(basis.k + 1)
+    used = np.nonzero(np.any(c != 0.0, axis=1) | np.any(c != 0.0, axis=0))[0].tolist()
+    xs, ys = grid.x_centers(), grid.y_centers()
+    fx = np.zeros((basis.k + 1, xs.size))
+    fy = np.zeros((basis.k + 1, ys.size))
+    for n in used:
+        fx[n] = mode_values_loop(basis, n, xs)
+        fy[n] = mode_values_loop(basis, n, ys)
+    return np.abs(fx.T @ c @ fy) ** 2
+
+
+def overlap_table_loop(basis):
+    """Overlap table S = H H^T on K + 1 nodes, one row h_n(z_i) of H per mode (see MorseBasis._overlap_rows)."""
+    modes = basis.bound_modes()
+    top = modes[-1]
+    z, log_w = _gauss_laguerre(top + 1, basis.nu - 2.0 * top - 2.0)
+    log_z = np.log(z)
+    rows = np.zeros((basis.k + 1, z.size))
+    for n in modes:
+        sign, log_lag = laguerre_signed_log_single(n, 2.0 * (basis.p - n), z)
+        rows[n] = sign * np.exp(0.5 * log_w + _log_norm(basis.nu, n) + (top - n) * log_z + log_lag)
+    return rows @ rows.T
 
 
 def bg_residual_direct_logexp(state, ladder):

@@ -535,6 +535,29 @@ class TestExitCodes:
         assert err.startswith("error: ") and f"at most {cap} are supported" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("density", "--p", "3pi", "--mu", "1", "--grid", "1x10"), 2),
+            (("uncertainty", "--p", "3pi", "--psi-stop", "0.2"), 4),
+        ],
+    )
+    def test_refused_run_leaves_no_directory(self, argv, code, tmp_path, capsys, monkeypatch):
+        def explode(*args, **kwargs):
+            raise QuadratureAccuracyError("synthetic failure")
+
+        monkeypatch.setattr(coherent, "moments", explode)
+        assert run(capsys, *argv, "--out", str(tmp_path / "newdir" / "sub"))[0] == code
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_that_is_a_file_is_a_usage_error(self, out, tmp_path, capsys):
+        (tmp_path / "afile").write_text("")
+        code, stdout, err = run(capsys, "spectrum", "--p", "3pi", "--out", str(tmp_path / out))
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: ") and "is not a directory" in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "afile"]
+
     def test_mixing_requires_both_halves(self, tmp_path, capsys):
         code, _, err = run(
             capsys,

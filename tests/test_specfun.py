@@ -5,7 +5,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from oracles import laguerre, laguerre_derivative
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+from oracles import laguerre, laguerre_derivative, laguerre_signed_log_single
 from scipy.special import gammaln
 
 from morsekit import (
@@ -187,3 +190,52 @@ class TestSignedLog:
         # L_1^0(1) = 0 exactly
         sign, log_abs = laguerre_signed_log(1, 0.0, 1.0)
         assert log_abs == -math.inf
+
+
+class TestSignedLogRows:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=400),
+                st.floats(min_value=-1.0, max_value=60.0, exclude_min=True),
+            ),
+            min_size=1,
+            max_size=6,
+        ).map(sorted),
+        x=arrays(
+            np.float64,
+            st.one_of(st.just(()), array_shapes(min_dims=1, max_dims=2, max_side=6)),
+            elements=st.floats(min_value=-50.0, max_value=4000.0),
+        ),
+    )
+    def test_rows_equal_single_calls_bitwise(self, pairs, x):
+        # x up to 4000 at degree up to 400 makes the rescale fire mid-recurrence
+        degrees = np.array([n for n, _ in pairs])
+        alphas = np.array([a for _, a in pairs])
+        sign, log_abs = laguerre_signed_log(degrees, alphas, x)
+        assert sign.shape == log_abs.shape == (len(pairs),) + x.shape
+        for i, (n, alpha) in enumerate(pairs):
+            for single in (laguerre_signed_log, laguerre_signed_log_single):
+                one_sign, one_log = single(n, alpha, x)
+                assert np.array_equal(sign[i], one_sign)
+                assert np.array_equal(log_abs[i], one_log)
+
+    def test_scalar_call_keeps_its_types(self):
+        sign, log_abs = laguerre_signed_log(5, 0.3, 2.0)
+        assert type(sign) is float and type(log_abs) is float
+        sign, log_abs = laguerre_signed_log(np.array([5]), np.array([0.3]), 2.0)
+        assert sign.shape == log_abs.shape == (1,)
+
+    @pytest.mark.parametrize(
+        "n, alpha",
+        [
+            ([3, 1], [0.5, 0.5]),  # degrees not ascending
+            ([1, 3], [0.5]),  # lengths differ
+            ([1, 3], [0.5, -1.0]),  # alpha at the limit
+            ([-1, 3], [0.5, 0.5]),
+        ],
+    )
+    def test_bad_rows_rejected(self, n, alpha):
+        with pytest.raises(ValueError):
+            laguerre_signed_log(np.array(n), np.array(alpha), np.linspace(0.0, 1.0, 3))

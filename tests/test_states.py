@@ -1,18 +1,29 @@
 """Wavefunctions, mixing, densities, and quadrature overlaps."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import gram_matrix_loop
+from oracles import (
+    density_grid_loop,
+    gram_matrix_loop,
+    mode_box_scan,
+    mode_derivative_loop,
+    mode_tables_loop,
+    mode_values_loop,
+    overlap_table_loop,
+    support_box_loop,
+)
 from scipy.integrate import quad as scipy_quad
 
 from morsekit import (
     GridSpec,
     MixingCoefficients,
+    ModeTables,
     MorseBasis,
     MuState,
     PhysicalParams,
@@ -495,3 +506,66 @@ class TestGramMatrix:
     def test_empty_state_list(self, basis_3pi):
         g = gram_matrix(basis_3pi, [])
         assert g.shape == (0, 0)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestAllModesMatchModeLoops:
+    """Everything built from all modes at once equals the one-mode-at-a-time loops bit for bit."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "9.3717",
+            "24.3717",
+            "60.3717",
+            pytest.param("100.01", marks=pytest.mark.deep),
+            pytest.param("200.3717", marks=pytest.mark.deep),
+        ],
+    )
+    def test_boxes_tables_densities_overlaps(self, text):
+        param = decompose(text, "irrational")
+        basis = MorseBasis(param)
+        assert _same_bits(basis.support_box(), support_box_loop(basis))
+        for n in (0, param.k // 2, param.k):
+            assert _same_bits(basis.mode_box(n), mode_box_scan(basis, n))
+        for quad in (QuadratureConfig(), QuadratureConfig().refined()):
+            tables, expected = basis.mode_tables(quad), mode_tables_loop(basis, quad)
+            for name in ModeTables.__dataclass_fields__:
+                assert _same_bits(getattr(tables, name), getattr(expected, name)), name
+        spectrum = order_spectrum(param)
+        state = coherent_coefficients(1.0, ladder_f(spectrum), build_mu_basis(spectrum))
+        field = density_grid(basis, state)
+        assert _same_bits(field.values, density_grid_loop(basis, state, field.spec))
+        assert _same_bits(basis.overlap_table(), overlap_table_loop(basis))
+
+    def test_single_mode_calls(self):
+        basis = MorseBasis(decompose("24.3717", "irrational"))
+        # far left, z is clipped at e^705 and the recurrence meets inf and nan
+        x = np.concatenate([[-800.0, -710.0], np.linspace(-3.0, 40.0, 91)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in basis.bound_modes():
+                assert _same_bits(basis.mode_values(n, x), mode_values_loop(basis, n, x))
+                assert _same_bits(basis.mode_derivative_values(n, x), mode_derivative_loop(basis, n, x))
+            grid = basis.mode_values(4, x.reshape(3, 31))
+            assert grid.shape == (3, 31)
+            assert _same_bits(grid.ravel(), mode_values_loop(basis, 4, x))
+        assert _same_bits(basis.mode_values(3, 0.5), float(mode_values_loop(basis, 3, np.float64(0.5))))
+
+    @pytest.mark.deep
+    def test_table_memory_is_bounded(self):
+        # tracemalloc peak of the support scan plus both tables at k = 200:
+        # 6.61 MiB with one Laguerre call per mode, so 1 MiB of headroom
+        basis = MorseBasis(decompose("200.3717", "irrational"))
+        tracemalloc.start()
+        try:
+            basis.support_box()
+            basis.mode_tables(QuadratureConfig())
+            basis.mode_tables(QuadratureConfig().refined())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.61 * 2**20
