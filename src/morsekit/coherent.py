@@ -108,13 +108,20 @@ class CoherentState:
         return math.exp(self.log_normalization)
 
     def coefficient_matrix(self, dim: int) -> np.ndarray:
-        rows, cols, values, owner = zip(
-            *((n, m, value, i) for i, state in enumerate(self.basis.states) for n, m, value in state.entries)
-        )
-        if max(rows) >= dim:
-            raise ValueError(f"level states up to n = {max(rows)} do not fit in dimension {dim}")
+        states = self.basis.states
+        n = np.array([state.n for state in states])
+        m = np.array([state.m for state in states])
+        if n.max() >= dim:
+            raise ValueError(f"level states up to n = {n.max()} do not fit in dimension {dim}")
+        # MuState.entries of level i, flattened: (n, m, gamma), then (m, n, delta) unless diagonal
+        pairs = [(1.0 + 0.0j, 0.0j) if state.coeffs is None else (state.coeffs.gamma, state.coeffs.delta)
+                 for state in states]
+        keep = np.column_stack([np.ones(n.size, dtype=bool), n != m]).ravel()
+        rows = np.column_stack([n, m]).ravel()[keep]
+        cols = np.column_stack([m, n]).ravel()[keep]
+        values = np.array(pairs, dtype=complex).ravel()[keep]
         c = np.zeros((dim, dim), dtype=complex)
-        np.add.at(c, (rows, cols), self.coefficients[list(owner)] * np.array(values))
+        np.add.at(c, (rows, cols), np.repeat(self.coefficients, 2)[keep] * values)
         return c
 
     def localization_fraction(self, count: int = 1) -> float:

@@ -8,6 +8,7 @@ outputs use ``\n`` line endings regardless of platform.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,9 @@ __all__ = [
 
 _PGM_MAX = 65535
 _PGM_LINE_WIDTH = 68
+# Greedy fill of a space-joined raster row: each match is the longest run of
+# whole tokens that fits the width (a token has at most 5 digits).
+_PGM_LINE = re.compile(rf"(\S.{{0,{_PGM_LINE_WIDTH - 1}}})(?: |$)")
 
 
 def _fmt(value: float) -> str:
@@ -132,16 +136,7 @@ def write_density_pgm(path, field: ScalarField2D) -> None:
         pixels = np.zeros(values.shape, dtype=int)
     lines = ["P2", f"{field.spec.nx} {field.spec.ny}", str(_PGM_MAX)]
     for row in pixels[:, ::-1].T.tolist():
-        line = ""
-        for token in map(str, row):
-            if not line:
-                line = token
-            elif len(line) + 1 + len(token) <= _PGM_LINE_WIDTH:
-                line += " " + token
-            else:
-                lines.append(line)
-                line = token
-        lines.append(line)
+        lines += _PGM_LINE.findall(" ".join(map(str, row)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -6,19 +6,23 @@ such relations can occur depends on the arithmetic type of the principal
 parameter p.  That type cannot be inferred from a float, so it is always
 declared by the caller: ``integer``, ``rational`` (with an exact fraction for
 the fractional part), or ``irrational``.  All grouping and ordering decisions
-are made on one exact integer per level; floats only carry the final energy
-values.
+are made on one exact integer per key; floats only carry the final energy
+values.  The levels come from the L = (k+1)(k+2)/2 keys (a, b), one per
+unordered pair of quanta {n, m}, held as numpy arrays and ordered by one
+sort of their exact values, not from a pass over the (k+1)^2 states.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -274,16 +278,6 @@ class LevelRecord:
         return diagonal + (self.multiplicity - diagonal) // 2
 
 
-def _classify(members: Sequence[tuple[int, int]]) -> str:
-    if len(members) == 1:
-        return SINGLET
-    if len(members) == 2:
-        (n1, m1), (n2, m2) = members
-        if n1 == m2 and m1 == n2:
-            return DOUBLET
-    return ACCIDENTAL
-
-
 def _exact_epsilon(param: PrincipalParameter) -> tuple[int, int]:
     """epsilon as integers (N, D) with epsilon = N / D exactly.
 
@@ -296,40 +290,60 @@ def _exact_epsilon(param: PrincipalParameter) -> tuple[int, int]:
     return frac.numerator, frac.denominator
 
 
-def enumerate_levels(param: PrincipalParameter) -> list[LevelRecord]:
-    """Group all (k+1)^2 bound states into exact degenerate levels.
+def _ordered_levels(param: PrincipalParameter) -> tuple[list[LevelRecord], list[int]]:
+    """The levels of ``enumerate_levels`` and, in the same order, the exact value a D + 2 N b of each.
 
-    Integer and rational modes merge the states whose exact level value
-    a D + 2 N b (epsilon = N / D) matches; irrational mode merges only the
-    states with the same key (a, b), since no other coincidence is possible.
-    Returns the levels deepest first, sorted by (-value, a, b).
+    Each key is a singlet |n, n> or a swap doublet; one stable sort on the
+    value over the (a, b) order of ``np.lexsort`` gives (-value, a, b).
     """
     k = param.k
     num, den = _exact_epsilon(param)
-    by_key = param.mode == IRRATIONAL
-    groups: dict[object, list[tuple[int, int]]] = {}
-    for n in range(k + 1):
-        u = k - n
-        for m in range(k + 1):
-            v = k - m
-            a, b = u * u + v * v, u + v
-            groups.setdefault((a, b) if by_key else a * den + 2 * num * b, []).append((n, m))
+    # n >= m gives every key exactly once: (a, b) fixes the pair {k-n, k-m}
+    n, m = np.tril_indices(k + 1)
+    u, v = k - n, k - m
+    a, b = u * u + v * v, u + v
+    by_ab = np.lexsort((b, a))
+    value = [x * den + 2 * num * y for x, y in zip(a[by_ab].tolist(), b[by_ab].tolist())]
+    order = sorted(range(len(value)), key=value.__getitem__, reverse=True)  # stable: ties stay by (a, b)
+    value = [value[i] for i in order]
+    pick = by_ab[order]
+    a, b, n, m = a[pick], b[pick], n[pick], m[pick]
+    # shifted_energy's operation order, so each energy is bit-equal to it
+    energy = -(a + 2.0 * param.epsilon * b)
+    records = [
+        LevelRecord(LevelKey(ak, bk), ((nk, nk),), 1, ek, SINGLET)
+        if nk == mk
+        else LevelRecord(LevelKey(ak, bk), ((nk, mk), (mk, nk)), 2, ek, DOUBLET)
+        for ak, bk, nk, mk, ek in zip(a.tolist(), b.tolist(), n.tolist(), m.tolist(), energy.tolist())
+    ]
+    if param.mode == IRRATIONAL:
+        return records, value
+    starts = [0, *itertools.compress(range(1, len(value)), map(operator.ne, value, value[1:]))]
+    levels = [
+        records[lo] if hi - lo == 1 else _merged(k, param.epsilon, records[lo:hi])
+        for lo, hi in zip(starts, starts[1:] + [len(value)])
+    ]
+    return levels, [value[i] for i in starts]
 
-    records = []
-    for members in groups.values():
-        members.sort(key=lambda nm: (-(nm[0] - nm[1]), nm[0]))
-        rep = members[0]
-        records.append(
-            LevelRecord(
-                key=level_key(k, *rep),
-                members=tuple(members),
-                multiplicity=len(members),
-                shifted_energy=shifted_energy(k, param.epsilon, *rep),
-                classification=_classify(members),
-            )
-        )
-    records.sort(key=lambda rec: (-(rec.key.a * den + 2 * num * rec.key.b), rec.key))
-    return records
+
+def _merged(k: int, epsilon: float, records: list[LevelRecord]) -> LevelRecord:
+    """One accidental level holding the members of several keys, represented by its canonical first member."""
+    members = sorted((nm for rec in records for nm in rec.members), key=lambda nm: (-(nm[0] - nm[1]), nm[0]))
+    rep = members[0]
+    energy = shifted_energy(k, epsilon, *rep)
+    return LevelRecord(level_key(k, *rep), tuple(members), len(members), energy, ACCIDENTAL)
+
+
+def enumerate_levels(param: PrincipalParameter) -> list[LevelRecord]:
+    """Exact degenerate levels of all (k+1)^2 bound states, built from the L = (k+1)(k+2)/2 keys.
+
+    Every key (a, b) comes once, from its state with n >= m.  Integer and
+    rational modes merge the keys whose exact level value a D + 2 N b
+    (epsilon = N / D) matches; irrational mode keeps each key as its own
+    level, since no other coincidence is possible.  Returns the levels
+    deepest first, sorted by (-value, a, b).
+    """
+    return _ordered_levels(param)[0]
 
 
 @dataclass(frozen=True)
@@ -388,18 +402,17 @@ def order_spectrum(param: PrincipalParameter) -> OrderedSpectrum:
     levels with the same value contradict the declared irrationality and
     raise OrderingAmbiguityError.
     """
-    records = enumerate_levels(param)
+    records, value = _ordered_levels(param)
     if param.mode == IRRATIONAL:
-        num, den = _exact_epsilon(param)
-        for upper, lower in zip(records, records[1:]):
-            u, v = upper.key, lower.key
-            if u.a * den + 2 * num * u.b == v.a * den + 2 * num * v.b:
-                raise OrderingAmbiguityError(
-                    f"levels {u} and {v} are exactly degenerate at "
-                    f"p = {param.p_text}; the declared mode {param.mode!r} does not "
-                    "admit a strict order here",
-                    keys=(u, v), p_text=param.p_text, mode=param.mode,
-                )
+        tie = next(itertools.compress(range(1, len(value)), map(operator.eq, value, value[1:])), None)
+        if tie is not None:
+            u, v = records[tie - 1].key, records[tie].key
+            raise OrderingAmbiguityError(
+                f"levels {u} and {v} are exactly degenerate at "
+                f"p = {param.p_text}; the declared mode {param.mode!r} does not "
+                "admit a strict order here",
+                keys=(u, v), p_text=param.p_text, mode=param.mode,
+            )
     return OrderedSpectrum(param, tuple(records), len(records) - 1)
 
 

@@ -55,9 +55,14 @@ _SUPPORT_CUT = 1.0e-14
 # of the scan's arrays at 0.5 MB however deep the well.
 _SCAN_ROWS = 16
 
-# exp() argument cap: beyond this the Gaussian-type factor exp(-z/2) has
-# already driven the mode to an exact zero, so clipping z is lossless.
-_LOG_Z_CAP = 705.0
+# Cap on ln z.  The Laguerre recurrence multiplies z by running values of up
+# to 1e250, which stays finite while ln z < ln(DBL_MAX / 1e250) = 134.1.  Past
+# ln z = 130 the factor exp(-z/2) < exp(-1.4e56) makes every mode n <= K_MAX an
+# exact zero, so clipping ln z there is lossless.
+_LOG_Z_CAP = 130.0
+
+# exp() argument cap, so that no log-space value overflows to inf.
+_LOG_EXP_CAP = 705.0
 
 
 @dataclass(frozen=True)
@@ -393,8 +398,9 @@ class MorseBasis:
     # -- pointwise evaluation -----------------------------------------------
 
     def _envelope(self, modes: np.ndarray, log_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """z clipped at exp(705), and ln N_n + (p - n) ln z - z/2 of the mode profile, one row per mode."""
-        z = np.exp(np.minimum(log_z, _LOG_Z_CAP))
+        """z, and ln N_n + (p - n) ln z - z/2 of the mode profile, one row per mode; ln z is clipped at 130."""
+        log_z = np.minimum(log_z, _LOG_Z_CAP)
+        z = np.exp(log_z)
         log_norm = np.array([self.log_norm_1d(n) for n in modes.tolist()])
         with np.errstate(over="ignore"):
             return z, log_norm[:, None] + (self.p - modes)[:, None] * log_z - 0.5 * z
@@ -403,7 +409,7 @@ class MorseBasis:
         """phi_n on the 1D positions x, one row per mode (ascending); with ``derivative``, also phi_n'.
 
         phi_n(x) = N_n z^(p-n) exp(-z/2) L_n^a(z), a = 2(p-n).  The prefactor
-        is assembled in log space; z itself is clipped at exp(705) where the
+        is assembled in log space; ln z is clipped at 130, where the
         exp(-z/2) factor already guarantees an exact underflow to zero.  With
         d/dx = -beta z d/dz and d/dz L_n^a = -L_{n-1}^{a+1} the chain rule gives
         phi_n'(x) = -beta N_n z^(p-n) exp(-z/2)
@@ -417,7 +423,7 @@ class MorseBasis:
         z, log_pre = self._envelope(modes, math.log(self.nu) - self.beta * x)
         phi, log_lag = laguerre_signed_log(modes, alpha, z)  # phi holds the signs until scaled
         log_lag += log_pre
-        phi *= np.exp(np.minimum(log_lag, _LOG_Z_CAP, out=log_lag), out=log_lag)
+        phi *= np.exp(np.minimum(log_lag, _LOG_EXP_CAP, out=log_lag), out=log_lag)
         if not derivative:
             return phi
         # each table is modes x samples: free it before the next one is made
@@ -426,7 +432,7 @@ class MorseBasis:
         term, log_d = laguerre_signed_log(modes[first:] - 1, alpha[first:] + 1.0, z)  # signs, as above
         log_d += log_pre[first:]
         term *= z
-        term *= np.exp(np.minimum(log_d, _LOG_Z_CAP, out=log_d), out=log_d)
+        term *= np.exp(np.minimum(log_d, _LOG_EXP_CAP, out=log_d), out=log_d)
         del log_d, log_pre
         bracket = (self.p - modes)[:, None] - 0.5 * z
         bracket *= phi

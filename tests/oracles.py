@@ -13,9 +13,13 @@ import mpmath
 import numpy as np
 
 from morsekit import (
+    ACCIDENTAL,
+    DOUBLET,
     IRRATIONAL,
     RATIONAL,
+    SINGLET,
     Crossing,
+    LevelRecord,
     ModeTables,
     MomentReport,
     OrderedSpectrum,
@@ -23,6 +27,7 @@ from morsekit import (
     enumerate_levels,
     level_key,
     log_bg_residual,
+    shifted_energy,
 )
 from morsekit.states import _gauss_laguerre, _log_norm
 
@@ -86,12 +91,15 @@ def laguerre_signed_log_single(n, alpha, x):
 
 # The mode loops below evaluate one 1D Morse mode at a time, each with its own
 # Laguerre recurrence from L_0: phi_n = N_n z^(p-n) e^(-z/2) L_n^(2(p-n))(z)
-# with z = nu e^(-beta x), clipped at e^705 where e^(-z/2) is already zero.
-_LOG_Z_CAP = 705.0
+# with z = nu e^(-beta x).  ln z is clipped at 130, where e^(-z/2) is already
+# zero and z times a running value of up to 1e250 is still finite; log-space
+# values are clipped at 705 before exp().
+_LOG_Z_CAP, _LOG_EXP_CAP = 130.0, 705.0
 
 
 def _mode_envelope(basis, n, log_z):
-    z = np.exp(np.minimum(log_z, _LOG_Z_CAP))
+    log_z = np.minimum(log_z, _LOG_Z_CAP)
+    z = np.exp(log_z)
     with np.errstate(over="ignore"):
         return z, basis.log_norm_1d(n) + (basis.p - n) * log_z - 0.5 * z
 
@@ -100,7 +108,7 @@ def mode_values_loop(basis, n, x):
     """phi_n on the positions x."""
     z, log_pre = _mode_envelope(basis, n, math.log(basis.nu) - basis.beta * x)
     sign, log_lag = laguerre_signed_log_single(n, 2.0 * (basis.p - n), z)
-    return sign * np.exp(np.minimum(log_pre + log_lag, _LOG_Z_CAP))
+    return sign * np.exp(np.minimum(log_pre + log_lag, _LOG_EXP_CAP))
 
 
 def mode_derivative_loop(basis, n, x):
@@ -108,10 +116,10 @@ def mode_derivative_loop(basis, n, x):
     z, log_pre = _mode_envelope(basis, n, math.log(basis.nu) - basis.beta * x)
     alpha = 2.0 * (basis.p - n)
     sign_l, log_l = laguerre_signed_log_single(n, alpha, z)
-    bracket = (basis.p - n - 0.5 * z) * sign_l * np.exp(np.minimum(log_pre + log_l, _LOG_Z_CAP))
+    bracket = (basis.p - n - 0.5 * z) * sign_l * np.exp(np.minimum(log_pre + log_l, _LOG_EXP_CAP))
     if n > 0:
         sign_d, log_d = laguerre_signed_log_single(n - 1, alpha + 1.0, z)
-        bracket = bracket - z * sign_d * np.exp(np.minimum(log_pre + log_d, _LOG_Z_CAP))
+        bracket = bracket - z * sign_d * np.exp(np.minimum(log_pre + log_d, _LOG_EXP_CAP))
     return -basis.beta * bracket
 
 
@@ -301,6 +309,46 @@ def axis_expectations_einsum(c, tables, axis):
     )
 
 
+def enumerate_levels_loop(param):
+    """enumerate_levels by one pass over all (k+1)^2 states, grouped in a dict.
+
+    Integer and rational modes group by the exact level value a D + 2 N b
+    (epsilon = N / D), irrational mode by the key (a, b).  Each group is
+    sorted canonically, members[0] gives the key and energy, and the levels
+    are sorted by (-value, a, b).
+    """
+    k = param.k
+    frac = param.ratio if param.mode == RATIONAL else param.epsilon_exact
+    num, den = frac.numerator, frac.denominator
+    groups = {}
+    for n in range(k + 1):
+        u = k - n
+        for m in range(k + 1):
+            v = k - m
+            a, b = u * u + v * v, u + v
+            groups.setdefault((a, b) if param.mode == IRRATIONAL else a * den + 2 * num * b, []).append((n, m))
+    records = []
+    for members in groups.values():
+        members.sort(key=lambda nm: (-(nm[0] - nm[1]), nm[0]))
+        if len(members) == 1:
+            label = SINGLET
+        elif len(members) == 2 and members[0] == members[1][::-1]:
+            label = DOUBLET
+        else:
+            label = ACCIDENTAL
+        records.append(
+            LevelRecord(
+                key=level_key(k, *members[0]),
+                members=tuple(members),
+                multiplicity=len(members),
+                shifted_energy=shifted_energy(k, param.epsilon, *members[0]),
+                classification=label,
+            )
+        )
+    records.sort(key=lambda rec: (-(rec.key.a * den + 2 * num * rec.key.b), rec.key))
+    return records
+
+
 def crossing_report_pairs(k, epsilon, tol):
     """crossing_report over every one of the L(L-1)/2 key pairs at once."""
     keys = sorted({level_key(k, n, m) for n in range(k + 1) for m in range(k + 1)})
@@ -380,3 +428,26 @@ def order_spectrum_float(param):
         r, q = (param.ratio.numerator, param.ratio.denominator) if param.mode == RATIONAL else (0, 1)
         records.sort(key=lambda rec: -(rec.key.a * q + 2 * r * rec.key.b))
     return OrderedSpectrum(param, tuple(records), len(records) - 1)
+
+
+def density_pgm_loop(field):
+    """Text of write_density_pgm, each 68-column line grown one token at a time."""
+    values = field.values
+    peak = float(values.max())
+    if peak > 0.0:
+        pixels = np.rint(values / peak * 65535).astype(int)
+    else:
+        pixels = np.zeros(values.shape, dtype=int)
+    lines = ["P2", f"{field.spec.nx} {field.spec.ny}", "65535"]
+    for row in pixels[:, ::-1].T.tolist():
+        line = ""
+        for token in map(str, row):
+            if not line:
+                line = token
+            elif len(line) + 1 + len(token) <= 68:
+                line += " " + token
+            else:
+                lines.append(line)
+                line = token
+        lines.append(line)
+    return "\n".join(lines) + "\n"

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -85,6 +86,20 @@ class TestSpectrumCommand:
         assert code == 0
         assert not (tmp_path / "spectrum.csv").exists()
         assert (tmp_path / "spectrum.json").exists()
+
+    def test_range_far_left_of_the_well_is_finite(self, tmp_path, capsys):
+        # x = -800 puts ln z far past its cap; the density there is an exact zero
+        code, _, err = run(
+            capsys, "density", "--p", "24.3717", "--mode", "irrational", "--mu", "40",
+            "--grid", "10x10", "--xrange=-800:1", "--out", str(tmp_path),
+        )
+        assert (code, err) == (0, "")
+        rows = (tmp_path / "density.csv").read_text().splitlines()[1:]
+        values = [float(row.split(",")[2]) for row in rows]
+        assert len(values) == 100 and all(math.isfinite(v) for v in values)
+        assert values.count(0.0) >= 80
+        doc = json.loads((tmp_path / "density_meta.json").read_text())
+        assert all(math.isfinite(doc[name]) for name in ("value_max", "riemann_sum"))
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -502,11 +517,11 @@ class TestExitCodes:
         assert "quadrature accuracy" in err
 
     def test_depth_beyond_cap_refused_before_enumeration(self, tmp_path, capsys, monkeypatch):
-        # k = 10**6 would enumerate 10**12 states
+        # k = 10**6 would enumerate 5 * 10**11 level keys
         def explode(*args, **kwargs):
-            raise AssertionError("enumerate_levels ran")
+            raise AssertionError("level enumeration ran")
 
-        monkeypatch.setattr(spectrum, "enumerate_levels", explode)
+        monkeypatch.setattr(spectrum, "_ordered_levels", explode)
         code, out, err = run(capsys, "spectrum", "--p", "1000000", "--mode", "integer", "--out", str(tmp_path))
         assert (code, out) == (2, "")
         assert err == f"error: p = 1000000 gives k = 1000000, above the supported depth k <= {spectrum.K_MAX}\n"

@@ -4,6 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import density_pgm_loop
 
 from morsekit import GridSpec, ScalarField2D
 from morsekit.fileio import (
@@ -68,6 +71,22 @@ class TestDensityPgm:
         field = ScalarField2D(grid, np.full((300, 2), 0.5))
         write_density_pgm(tmp_path / "w.pgm", field)
         assert max(len(l) for l in (tmp_path / "w.pgm").read_text().splitlines()) <= 70
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        nx=st.integers(min_value=2, max_value=160),
+        ny=st.integers(min_value=2, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        spread=st.sampled_from([0.0, 1e-6, 1.0, 1e6]),
+    )
+    def test_matches_token_loop(self, tmp_path_factory, nx, ny, seed, spread):
+        # spread mixes pixel widths of one to five digits on a line
+        rng = np.random.default_rng(seed)
+        values = rng.random((nx, ny)) ** (1.0 + spread * rng.random((nx, ny)))
+        field = ScalarField2D(GridSpec(0.0, 1.0, 0.0, 1.0, nx, ny), values)
+        path = tmp_path_factory.mktemp("pgm") / "d.pgm"
+        write_density_pgm(path, field)
+        assert path.read_text() == density_pgm_loop(field)
 
 
 class TestDensityMeta:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import crossing_report_pairs, order_spectrum_float
+from oracles import crossing_report_pairs, enumerate_levels_loop, order_spectrum_float
 
 from morsekit import (
     ACCIDENTAL,
@@ -489,6 +489,79 @@ class TestOrderSpectrum:
             spec = order_spectrum(decompose(text, RATIONAL))
             assert len(spec.levels) <= (5 + 1) * (5 + 2) // 2
             assert sum(rec.multiplicity for rec in spec.levels) == 36
+
+
+class TestKeysMatchStateLoop:
+    """Levels built from the L key arrays equal the per-state dict loop's, energies by bits."""
+
+    @staticmethod
+    def _assert_matches_state_loop(param):
+        expected = enumerate_levels_loop(param)
+        levels = enumerate_levels(param)
+        assert levels == expected
+        assert [rec.shifted_energy.hex() for rec in levels] == [rec.shifted_energy.hex() for rec in expected]
+        assert count_summary(levels) == count_summary(expected)
+        frac = param.ratio if param.mode == RATIONAL else param.epsilon_exact
+        value = [rec.key.a * frac.denominator + 2 * frac.numerator * rec.key.b for rec in expected]
+        ties = [(u.key, v.key) for u, v, x, y in zip(expected, expected[1:], value, value[1:]) if x == y]
+        if ties:
+            # only irrational mode keeps keys of equal value apart; its order is then ambiguous
+            assert param.mode == IRRATIONAL
+            with pytest.raises(OrderingAmbiguityError) as info:
+                order_spectrum(param)
+            assert info.value.keys == ties[0]
+        else:
+            assert order_spectrum(param).levels == tuple(expected)
+
+    @pytest.mark.parametrize(
+        "text, mode",
+        [
+            ("0.3717", IRRATIONAL),
+            ("1.5", RATIONAL),
+            ("2", INTEGER),
+            ("3.5", IRRATIONAL),
+            ("3.499999999999999999", RATIONAL),
+            ("9.5", RATIONAL),
+            (pi_multiple_text(3.0), IRRATIONAL),
+            ("12.125", RATIONAL),
+            ("28", INTEGER),
+            ("30.25", RATIONAL),
+            ("40.3717", RATIONAL),
+            ("57.3717", IRRATIONAL),
+            pytest.param("100", INTEGER, marks=pytest.mark.deep),
+            pytest.param("200.3717", IRRATIONAL, marks=pytest.mark.deep),
+            pytest.param("200.25", RATIONAL, marks=pytest.mark.deep),
+            pytest.param("400.3717", IRRATIONAL, marks=pytest.mark.deep),
+            pytest.param("400", INTEGER, marks=pytest.mark.deep),
+        ],
+    )
+    def test_grid(self, text, mode):
+        self._assert_matches_state_loop(decompose(text, mode))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(min_value=0, max_value=60),
+        eps=st.fractions(min_value=Fraction(1, 24), max_value=Fraction(23, 24), max_denominator=24),
+        digits=st.integers(min_value=1, max_value=10**40 - 10**27),  # eps stays below 1 as a double
+        source=st.sampled_from(["fraction", "digits"]),
+        mode=st.sampled_from([INTEGER, RATIONAL, IRRATIONAL]),
+    )
+    @example(k=7, eps=Fraction(1, 2), digits=1, source="fraction", mode=IRRATIONAL)
+    @example(k=60, eps=Fraction(1, 4), digits=1, source="fraction", mode=RATIONAL)
+    # the level of (39, 11) and (30, 13): their float energies differ in the last bit
+    @example(k=40, eps=Fraction(13, 14), digits=1, source="fraction", mode=RATIONAL)
+    def test_property(self, k, eps, digits, source, mode):
+        # small-denominator eps is where accidental levels (and irrational-mode
+        # ties) occur; a 40-digit text is the irrational case proper
+        if mode == INTEGER:
+            param = decompose(str(max(k, 1)), INTEGER)  # p = 0 holds no bound state
+        elif mode == RATIONAL:
+            param = decompose(repr(k + float(eps)), RATIONAL, eps)
+        elif source == "fraction":
+            param = decompose(f"{k}.{eps.numerator * 10**40 // eps.denominator:040d}", IRRATIONAL)
+        else:
+            param = decompose(f"{k}.{digits:040d}", IRRATIONAL)
+        self._assert_matches_state_loop(param)
 
 
 class TestCrossingReport:

@@ -544,15 +544,19 @@ class TestAllModesMatchModeLoops:
 
     def test_single_mode_calls(self):
         basis = MorseBasis(decompose("24.3717", "irrational"))
-        # far left, z is clipped at e^705 and the recurrence meets inf and nan
-        x = np.concatenate([[-800.0, -710.0], np.linspace(-3.0, 40.0, 91)])
-        with np.errstate(over="ignore", invalid="ignore"):
-            for n in basis.bound_modes():
-                assert _same_bits(basis.mode_values(n, x), mode_values_loop(basis, n, x))
-                assert _same_bits(basis.mode_derivative_values(n, x), mode_derivative_loop(basis, n, x))
-            grid = basis.mode_values(4, x.reshape(3, 31))
-            assert grid.shape == (3, 31)
-            assert _same_bits(grid.ravel(), mode_values_loop(basis, 4, x))
+        # far left ln z passes its cap of 130 and every mode is an exact zero;
+        # at a cap of 705 these points gave nan and e^705 for n >= 2
+        far = [-1.0e60, -800.0, -710.0, -140.0]
+        x = np.concatenate([far, np.linspace(-3.0, 40.0, 91)])
+        for n in basis.bound_modes():
+            values, slopes = basis.mode_values(n, x), basis.mode_derivative_values(n, x)
+            assert np.all(np.isfinite(values)) and np.all(np.isfinite(slopes))
+            assert list(values[: len(far)]) == list(slopes[: len(far)]) == [0.0] * len(far)
+            assert _same_bits(values, mode_values_loop(basis, n, x))
+            assert _same_bits(slopes, mode_derivative_loop(basis, n, x))
+        grid = basis.mode_values(4, x.reshape(5, 19))
+        assert grid.shape == (5, 19)
+        assert _same_bits(grid.ravel(), mode_values_loop(basis, 4, x))
         assert _same_bits(basis.mode_values(3, 0.5), float(mode_values_loop(basis, 3, np.float64(0.5))))
 
     @pytest.mark.deep
