@@ -85,10 +85,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, sub.choices
 
 
-class UsageError(ValueError):
-    """Bad flag or config value; maps to exit code 2."""
-
-
 def _load_config(path, commands) -> dict:
     """Config-file values to use as parser defaults; null values fall back to the built-ins.
 
@@ -97,19 +93,19 @@ def _load_config(path, commands) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}")
+        raise ValueError(f"cannot read config file {path}: {exc}")
     if not isinstance(doc, dict):
-        raise UsageError("config file must hold a JSON object")
+        raise ValueError("config file must hold a JSON object")
     keys = {dest for command in commands.values() for dest in vars(command.parse_args([]))}
     unknown = sorted(set(doc) - (keys - {"config", "func"}))
     if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(unknown)}")
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     return {key: value for key, value in doc.items() if value is not None}
 
 
 def _parse_principal(p_raw, mode_raw):
     if p_raw is None:
-        raise UsageError("--p is required")
+        raise ValueError("--p is required")
     p_text = str(p_raw).strip()
     ratio = None
     mode = None
@@ -122,9 +118,9 @@ def _parse_principal(p_raw, mode_raw):
             try:
                 ratio = Fraction(int(num), int(den))
             except (ValueError, ZeroDivisionError) as exc:
-                raise UsageError(f"cannot parse rational ratio {parts[1]!r}: {exc}")
+                raise ValueError(f"cannot parse rational ratio {parts[1]!r}: {exc}")
         elif len(parts) > 1:
-            raise UsageError(f"unexpected mode arguments in {mode_raw!r}")
+            raise ValueError(f"unexpected mode arguments in {mode_raw!r}")
 
     match = _PI_PATTERN.match(p_text)
     if match:
@@ -133,63 +129,65 @@ def _parse_principal(p_raw, mode_raw):
         if mode is None:
             mode = spectrum.IRRATIONAL
         elif mode != spectrum.IRRATIONAL:
-            raise UsageError("pi-multiple p is irrational; --mode must agree")
+            raise ValueError("pi-multiple p is irrational; --mode must agree")
     if mode is None:
-        raise UsageError("--mode is required (integer | irrational | rational[:R/Q])")
-    try:
-        return spectrum.decompose(p_text, mode, ratio)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+        raise ValueError("--mode is required (integer | irrational | rational[:R/Q])")
+    return spectrum.decompose(p_text, mode, ratio)
 
 
-def _parse_complex(text, flag: str) -> complex:
-    text = str(text).strip()
+def _parsed(convert, raw, flag: str):
+    """convert(raw), whose ValueError or TypeError becomes one that names the flag and the raw value.
+
+    ``convert`` must return a finished value, not a lazy iterator, so that it fails here.
+    """
     try:
-        if "@" in text:
-            mag, _, phase = text.partition("@")
-            return float(mag) * cmath.exp(1j * float(phase))
-        if "," in text:
-            re_part, _, im_part = text.partition(",")
-            return complex(float(re_part), float(im_part))
-        return complex(float(text), 0.0)
-    except ValueError as exc:
-        raise UsageError(f"cannot parse {flag} value {text!r}: {exc}")
+        return convert(raw)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"cannot parse {flag} value {raw!r}: {exc}")
+
+
+def _complex(text: str) -> complex:
+    if "@" in text:
+        mag, _, phase = text.partition("@")
+        return float(mag) * cmath.exp(1j * float(phase))
+    if "," in text:
+        re_part, _, im_part = text.partition(",")
+        return complex(float(re_part), float(im_part))
+    return complex(float(text), 0.0)
+
+
+def _parse_complex(raw, flag: str) -> complex:
+    return _parsed(_complex, str(raw).strip(), flag)
 
 
 def _parse_mixing(args):
     if args.gamma is None and args.delta is None:
         return states.MixingCoefficients.equal_mix()
     if args.gamma is None or args.delta is None:
-        raise UsageError("--gamma and --delta must be supplied together")
-    try:
-        return states.MixingCoefficients.normalized(
-            _parse_complex(args.gamma, "--gamma"), _parse_complex(args.delta, "--delta")
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc))
+        raise ValueError("--gamma and --delta must be supplied together")
+    return states.MixingCoefficients.normalized(
+        _parse_complex(args.gamma, "--gamma"), _parse_complex(args.delta, "--delta")
+    )
 
 
 def _parse_grid(args, basis):
     grid_text = str(args.grid)
     match = re.match(r"^(\d+)[xX](\d+)$", grid_text.strip())
     if not match:
-        raise UsageError(f"--grid must look like 400x400, got {grid_text!r}")
+        raise ValueError(f"--grid must look like 400x400, got {grid_text!r}")
     nx, ny = int(match.group(1)), int(match.group(2))
     if nx * ny > MAX_GRID_CELLS:
-        raise UsageError(f"--grid {nx}x{ny} has {nx * ny} cells; at most {MAX_GRID_CELLS} are supported")
+        raise ValueError(f"--grid {nx}x{ny} has {nx * ny} cells; at most {MAX_GRID_CELLS} are supported")
 
     def parse_range(text, flag):
         if text is None:
             return None
         parts = str(text).split(":")
         if len(parts) != 2:
-            raise UsageError(f"{flag} must look like LO:HI, got {text!r}")
-        try:
-            lo, hi = float(parts[0]), float(parts[1])
-        except ValueError as exc:
-            raise UsageError(f"cannot parse {flag} value {text!r}: {exc}")
+            raise ValueError(f"{flag} must look like LO:HI, got {text!r}")
+        lo, hi = _parsed(lambda raw: [float(part) for part in str(raw).split(":")], text, flag)
         if not hi > lo:
-            raise UsageError(f"{flag} interval is empty: {text!r}")
+            raise ValueError(f"{flag} interval is empty: {text!r}")
         return lo, hi
 
     x_range = parse_range(args.xrange, "--xrange")
@@ -198,10 +196,7 @@ def _parse_grid(args, basis):
         lo, hi = basis.support_box()
         x_range = x_range or (lo, hi)
         y_range = y_range or (lo, hi)
-    try:
-        return states.GridSpec(x_range[0], x_range[1], y_range[0], y_range[1], nx, ny)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return states.GridSpec(x_range[0], x_range[1], y_range[0], y_range[1], nx, ny)
 
 
 def _parse_formats(text) -> set[str]:
@@ -210,9 +205,9 @@ def _parse_formats(text) -> set[str]:
     chosen = {part.strip().lower() for part in str(text).split(",") if part.strip()}
     unknown = chosen - set(_FORMATS)
     if unknown:
-        raise UsageError(f"unknown formats: {', '.join(sorted(unknown))}")
+        raise ValueError(f"unknown formats: {', '.join(sorted(unknown))}")
     if not chosen:
-        raise UsageError("--format selected nothing")
+        raise ValueError("--format selected nothing")
     return chosen
 
 
@@ -228,7 +223,7 @@ def _setup(args, mixing: bool = False):
     out = Path(str(args.out))
     existing = next(path for path in (out, *out.parents) if path.exists())
     if not existing.is_dir():
-        raise UsageError(f"--out {str(args.out)!r}: {str(existing)!r} exists and is not a directory")
+        raise ValueError(f"--out {str(args.out)!r}: {str(existing)!r} exists and is not a directory")
     return param, coeffs, out, _parse_formats(args.format)
 
 
@@ -279,7 +274,7 @@ def cmd_degeneracy(args) -> int:
 def cmd_density(args) -> int:
     param, coeffs, out, formats = _setup(args, mixing=True)
     if (args.mu is None) == (args.psi is None):
-        raise UsageError("pick exactly one of --mu and --psi")
+        raise ValueError("pick exactly one of --mu and --psi")
     ordered = spectrum.order_spectrum(param)
     mu_basis = states.build_mu_basis(ordered, coeffs)
     basis = states.MorseBasis(param)
@@ -287,12 +282,9 @@ def cmd_density(args) -> int:
 
     psi = None
     if args.mu is not None:
-        try:
-            index = int(str(args.mu))
-        except ValueError as exc:
-            raise UsageError(f"cannot parse --mu value {args.mu!r}: {exc}")
+        index = _parsed(lambda raw: int(str(raw)), args.mu, "--mu")
         if not 0 <= index <= ordered.xi:
-            raise UsageError(f"--mu must lie in 0..{ordered.xi}, got {index}")
+            raise ValueError(f"--mu must lie in 0..{ordered.xi}, got {index}")
         state = mu_basis.states[index]
         label = f"mu_{index}"
     else:
@@ -320,23 +312,20 @@ def cmd_uncertainty(args) -> int:
     def parse_float(key):
         raw = getattr(args, key)
         flag = f"--{key.replace('_', '-')}"
-        try:
-            value = float(raw)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"cannot parse {flag} value {raw!r}: {exc}")
+        value = _parsed(float, raw, flag)
         if not math.isfinite(value):
-            raise UsageError(f"{flag} must be finite, got {raw!r}")
+            raise ValueError(f"{flag} must be finite, got {raw!r}")
         return value
 
     start = parse_float("psi_start")
     stop = parse_float("psi_stop")
     step = parse_float("psi_step")
     if step <= 0 or stop < start:
-        raise UsageError("need psi-step > 0 and psi-stop >= psi-start")
+        raise ValueError("need psi-step > 0 and psi-stop >= psi-start")
     # the quotient may overflow to inf, which the cap refuses before int() sees it
     span = (stop - start) / step
     if not span + 1.0 <= MAX_SWEEP_POINTS:
-        raise UsageError(f"the sweep has {span + 1.0:.6g} amplitudes; at most {MAX_SWEEP_POINTS} are supported")
+        raise ValueError(f"the sweep has {span + 1.0:.6g} amplitudes; at most {MAX_SWEEP_POINTS} are supported")
 
     count = int(round(span)) + 1
     psis = np.round(start + step * np.arange(count), 12)
@@ -367,7 +356,7 @@ def main(argv=None) -> int:
             commands[args.command].set_defaults(**_load_config(args.config, commands))
             args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, errors.NoBoundStatesError) as exc:
+    except (ValueError, errors.NoBoundStatesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except errors.OrderingAmbiguityError as exc:
@@ -376,9 +365,6 @@ def main(argv=None) -> int:
     except errors.QuadratureAccuracyError as exc:
         print(f"quadrature accuracy: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -203,14 +203,16 @@ def bg_residual_direct(state: CoherentState, ladder: LadderSpectrum) -> float:
     The working precision is 40 digits plus the number of decimal places the
     closed-form estimate ``log_bg_residual`` puts below 1, so the
     subtraction keeps significant digits; doubles alone lose the residual
-    entirely in cancellation noise.
+    entirely in cancellation noise.  The places are capped at 340 (at most
+    380 digits): a residual below 1e-340 is below the smallest subnormal
+    double, so the result is 0.0 however many digits it was computed with.
     """
     estimate = log_bg_residual(state, ladder) / math.log(10.0)  # also checks the ladder
     if state.psi == 0.0:
         return 0.0
     import mpmath
 
-    with mpmath.workdps(40 + max(0, -int(math.floor(estimate)))):
+    with mpmath.workdps(40 + min(340, max(0, -int(math.floor(estimate))))):
         apsi = abs(mpmath.mpc(state.psi))
         roots = [mpmath.sqrt(f) for f in ladder.f[1:].tolist()]
         power = root_fact = mpmath.mpf(1)

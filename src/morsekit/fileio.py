@@ -34,59 +34,44 @@ _PGM_LINE_WIDTH = 68
 _PGM_LINE = re.compile(rf"(\S.{{0,{_PGM_LINE_WIDTH - 1}}})(?: |$)")
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _complex_fields(value: complex) -> dict:
     value = complex(value)
     return {"im": value.imag, "re": value.real}
 
 
-def _join_quanta(values) -> str:
-    return ";".join(str(v) for v in values)
+def _cell(value) -> str:
+    if isinstance(value, list):
+        return ";".join(map(str, value))
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def _write_csv(path, header, rows) -> None:
+    """Header line, then one line per row: list cells join with ';', floats are repr'd."""
+    lines = [",".join(header), *(",".join(map(_cell, row)) for row in rows)]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+_LEVEL_FIELDS = ("index", "n_list", "m_list", "multiplicity", "classification", "a", "b",
+                 "shifted_energy", "scaled_energy")
 
 
 def _level_rows(spectrum: OrderedSpectrum, only_classification: str | None = None):
+    """One tuple of cells per level, in the order of ``_LEVEL_FIELDS``."""
     k = spectrum.parameter.k
     eps = spectrum.parameter.epsilon
     for i, rec in enumerate(spectrum.levels):
         if only_classification is not None and rec.classification != only_classification:
             continue
         n0, m0 = rec.members[0]
-        yield {
-            "index": i,
-            "n_list": [n for n, _ in rec.members],
-            "m_list": [m for _, m in rec.members],
-            "multiplicity": rec.multiplicity,
-            "classification": rec.classification,
-            "a": rec.key.a,
-            "b": rec.key.b,
-            "shifted_energy": rec.shifted_energy,
-            "scaled_energy": scaled_energy(k, eps, n0, m0),
-        }
+        yield (i, [n for n, _ in rec.members], [m for _, m in rec.members], rec.multiplicity,
+               rec.classification, rec.key.a, rec.key.b, rec.shifted_energy, scaled_energy(k, eps, n0, m0))
 
 
 def write_spectrum_csv(path, spectrum: OrderedSpectrum, only_classification: str | None = None) -> None:
     """Level table, one row per mu index; optionally filtered by classification."""
-    lines = ["index,n_list,m_list,multiplicity,classification,a,b,shifted_energy,scaled_energy"]
-    for row in _level_rows(spectrum, only_classification):
-        lines.append(
-            ",".join(
-                [
-                    str(row["index"]),
-                    _join_quanta(row["n_list"]),
-                    _join_quanta(row["m_list"]),
-                    str(row["multiplicity"]),
-                    row["classification"],
-                    str(row["a"]),
-                    str(row["b"]),
-                    _fmt(row["shifted_energy"]),
-                    _fmt(row["scaled_energy"]),
-                ]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, _LEVEL_FIELDS, _level_rows(spectrum, only_classification))
 
 
 def write_spectrum_json(path, spectrum: OrderedSpectrum, only_classification: str | None = None) -> None:
@@ -95,7 +80,7 @@ def write_spectrum_json(path, spectrum: OrderedSpectrum, only_classification: st
     doc = {
         "epsilon": param.epsilon,
         "k": param.k,
-        "levels": list(_level_rows(spectrum, only_classification)),
+        "levels": [dict(zip(_LEVEL_FIELDS, row)) for row in _level_rows(spectrum, only_classification)],
         "mode": param.mode,
         "p_text": param.p_text,
         "xi": spectrum.xi,
@@ -175,27 +160,15 @@ def write_density_meta(
 def _fmt_psi(psi: complex) -> str:
     psi = complex(psi)
     if psi.imag == 0.0:
-        return _fmt(psi.real)
+        return repr(psi.real)
     return f"{psi.real!r}{psi.imag:+}j"
 
 
 def write_sweep_csv(path, points: list[SweepPoint]) -> None:
     """Uncertainty sweep table: one x row and one y row per amplitude."""
-    lines = ["psi,mode,var_q,var_p,product"]
-    for point in points:
-        for report in (point.x, point.y):
-            lines.append(
-                ",".join(
-                    [
-                        _fmt_psi(point.psi),
-                        report.mode,
-                        _fmt(report.var_q),
-                        _fmt(report.var_p),
-                        _fmt(report.product),
-                    ]
-                )
-            )
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = ([_fmt_psi(point.psi), report.mode, report.var_q, report.var_p, report.product]
+            for point in points for report in (point.x, point.y))
+    _write_csv(path, ("psi", "mode", "var_q", "var_p", "product"), rows)
 
 
 def write_coherent_json(path, state: CoherentState, bg_residual_value: float) -> None:

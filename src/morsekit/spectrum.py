@@ -290,6 +290,16 @@ def _exact_epsilon(param: PrincipalParameter) -> tuple[int, int]:
     return frac.numerator, frac.denominator
 
 
+def _keys(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """n, m and the level key (a, b) of every state with n >= m, in ``np.tril_indices`` order.
+
+    n >= m gives every key exactly once: (a, b) fixes the pair {k-n, k-m}.
+    """
+    n, m = np.tril_indices(k + 1)
+    u, v = k - n, k - m
+    return n, m, u * u + v * v, u + v
+
+
 def _ordered_levels(param: PrincipalParameter) -> tuple[list[LevelRecord], list[int]]:
     """The levels of ``enumerate_levels`` and, in the same order, the exact value a D + 2 N b of each.
 
@@ -298,10 +308,7 @@ def _ordered_levels(param: PrincipalParameter) -> tuple[list[LevelRecord], list[
     """
     k = param.k
     num, den = _exact_epsilon(param)
-    # n >= m gives every key exactly once: (a, b) fixes the pair {k-n, k-m}
-    n, m = np.tril_indices(k + 1)
-    u, v = k - n, k - m
-    a, b = u * u + v * v, u + v
+    n, m, a, b = _keys(k)
     by_ab = np.lexsort((b, a))
     value = [x * den + 2 * num * y for x, y in zip(a[by_ab].tolist(), b[by_ab].tolist())]
     order = sorted(range(len(value)), key=value.__getitem__, reverse=True)  # stable: ties stay by (a, b)
@@ -455,10 +462,7 @@ def crossing_report(k: int, epsilon: float, tol: float) -> list[Crossing]:
     if not math.isfinite(tol):
         raise ValueError("tol must be finite")
     k = int(k)
-    # n >= m gives every key exactly once: (a, b) fixes the pair {k-n, k-m}
-    n, m = np.tril_indices(k + 1)
-    u, v = k - n, k - m
-    a_int, b_int = u * u + v * v, u + v
+    _, _, a_int, b_int = _keys(k)
     order = np.lexsort((a_int, b_int))
     a_int, b_int = a_int[order], b_int[order]
     a, b = a_int.astype(float), b_int.astype(float)

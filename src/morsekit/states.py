@@ -626,11 +626,17 @@ def _expand(basis: MorseBasis, state) -> tuple[np.ndarray, list[int]]:
 
     Every used mode must be bound: the mode tables only hold bound modes, so
     a state that references an unbound one raises ValueError rather than
-    coming out as silent zeros.
+    coming out as silent zeros.  A coherent state carries the well its
+    levels were ordered in (``state.basis.parameter``); it must be this
+    basis's well, or the result would describe a state of another well.
     """
     matrix = getattr(state, "coefficient_matrix", None)
     if matrix is None:
         raise TypeError(f"{type(state).__name__} cannot be expanded over the product basis")
+    own = getattr(getattr(state, "basis", None), "parameter", basis.principal)
+    if own != basis.principal:
+        raise ValueError(f"state was built for p = {own.p_text!r} ({own.mode}), "
+                         f"but the basis is p = {basis.principal.p_text!r} ({basis.principal.mode})")
     c = matrix(basis.k + 1)
     used = np.nonzero(np.any(c != 0.0, axis=1) | np.any(c != 0.0, axis=0))[0].tolist()
     for n in used:

@@ -643,6 +643,32 @@ def test_non_finite_input_is_a_usage_error(command, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def _three_pi_support_box():
+    return states.MorseBasis(spectrum.decompose(spectrum.pi_multiple_text(3.0), "irrational")).support_box()
+
+
+# A library ValueError reaches stderr as "error: " + its message, unchanged.
+LIBRARY_REFUSALS = [
+    ("spectrum --p 1e400 --mode irrational",
+     lambda: spectrum.decompose("1e400", "irrational")),
+    ("density --p 3pi --mu 1 --gamma 0 --delta 0 --grid 10x10",
+     lambda: states.MixingCoefficients.normalized(0j, 0j)),
+    ("density --p 3pi --mu 1 --grid 10x10 --xrange=-inf:3",
+     lambda: states.GridSpec(-math.inf, 3.0, *_three_pi_support_box(), 10, 10)),
+]
+
+
+@pytest.mark.parametrize("command, call", LIBRARY_REFUSALS, ids=[c for c, _ in LIBRARY_REFUSALS])
+def test_library_error_is_the_usage_message(command, call, tmp_path, capsys):
+    with pytest.raises(ValueError) as library:
+        call()
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, *command.split(), "--out", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err == f"error: {library.value}\n"
+    assert not out_dir.exists()
+
+
 # sha256 of every file each run writes.  A non-square grid makes an x/y
 # swap or a transposed raster change the bytes.
 GOLDEN_RUNS = {

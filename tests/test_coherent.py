@@ -34,6 +34,7 @@ from morsekit import (
     decompose,
     density_grid,
     first_separation,
+    gram_matrix,
     ladder_f,
     log_bg_residual,
     moments,
@@ -292,6 +293,19 @@ class TestResidual:
             with pytest.raises(ValueError, match="ladder has 91 rungs but the state has 55 levels"):
                 check(state, other)
 
+    def test_residual_precision_is_capped(self, monkeypatch):
+        # the estimate puts the k = 45, psi = 1 residual about 1800 places below 1;
+        # any residual under 1e-340 rounds to 0.0, so 380 digits are enough
+        spectrum = order_spectrum(decompose("45.3717", "irrational"))
+        ladder = ladder_f(spectrum)
+        state = coherent_coefficients(1.0, ladder, build_mu_basis(spectrum))
+        assert log_bg_residual(state, ladder) / math.log(10.0) < -1000.0
+        digits = []
+        workdps = mpmath.workdps
+        monkeypatch.setattr(mpmath, "workdps", lambda n: digits.append(n) or workdps(n))
+        assert bg_residual_direct(state, ladder) == 0.0
+        assert len(digits) == 1 and digits[0] <= 380
+
     def test_residual_grows_with_amplitude(self, ladder_3pi, mu_3pi):
         values = [
             bg_residual(coherent_coefficients(psi, ladder_3pi, mu_3pi), ladder_3pi)
@@ -320,6 +334,22 @@ class TestResidual:
     def test_zero_amplitude_log_residual(self, ladder_3pi, mu_3pi):
         state = coherent_coefficients(0.0, ladder_3pi, mu_3pi)
         assert log_bg_residual(state, ladder_3pi) == -math.inf
+
+
+class TestWellCheck:
+    def test_state_of_another_well_is_rejected(self):
+        # the 9.3717 levels all fit the deeper well's modes, so nothing else would object
+        spectrum = order_spectrum(decompose("9.3717", "irrational"))
+        state = coherent_coefficients(0.5, ladder_f(spectrum), build_mu_basis(spectrum))
+        basis = MorseBasis(decompose("12.3717", "irrational"))
+        calls = [
+            lambda: density_grid(basis, state),
+            lambda: moments(basis, state, "x"),
+            lambda: gram_matrix(basis, [state, state]),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"p = '9\.3717' .* p = '12\.3717'"):
+                call()
 
 
 class TestMoments:

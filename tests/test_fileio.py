@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import density_pgm_loop
 
-from morsekit import GridSpec, ScalarField2D
+from morsekit import GridSpec, ScalarField2D, decompose, order_spectrum
 from morsekit.fileio import (
     write_density_csv,
     write_density_meta,
     write_density_pgm,
+    write_spectrum_csv,
     write_sweep_csv,
 )
 
@@ -107,6 +108,31 @@ class TestDensityMeta:
         keys = [line.split('"')[1] for line in path.read_text().splitlines() if '":' in line]
         top = [k for k in keys if k in {"grid", "p_text", "pgm_orientation", "riemann_sum", "state", "value_max"}]
         assert top == sorted(top)
+
+
+class TestSpectrumCsv:
+    HEADER = "index,n_list,m_list,multiplicity,classification,a,b,shifted_energy,scaled_energy"
+
+    def test_no_accidentals_is_header_only(self, tmp_path):
+        path = tmp_path / "accidental.csv"
+        write_spectrum_csv(path, order_spectrum(decompose("9.3717", "irrational")), "accidental")
+        assert path.read_text() == self.HEADER + "\n"
+
+    def test_list_and_float_cells(self, tmp_path):
+        spectrum = order_spectrum(decompose("9", "integer"))
+        path = tmp_path / "spectrum.csv"
+        write_spectrum_csv(path, spectrum)
+        lines = path.read_text().splitlines()
+        assert lines[0] == self.HEADER
+        assert len(lines) == len(spectrum.levels) + 1
+        for i, (line, rec) in enumerate(zip(lines[1:], spectrum.levels)):
+            cells = line.split(",")
+            assert cells[:2] == [str(i), ";".join(str(n) for n, _ in rec.members)]
+            assert cells[2] == ";".join(str(m) for _, m in rec.members)
+            assert cells[3:7] == [str(rec.multiplicity), rec.classification, str(rec.key.a), str(rec.key.b)]
+            assert cells[7] == repr(rec.shifted_energy)
+        accidental = next(l for l in lines if ",accidental," in l)
+        assert accidental.split(",")[1].count(";") >= 2
 
 
 class TestSweepCsv:
