@@ -315,27 +315,36 @@ def _ordered_levels(param: PrincipalParameter) -> tuple[list[LevelRecord], list[
     value = [value[i] for i in order]
     pick = by_ab[order]
     a, b, n, m = a[pick], b[pick], n[pick], m[pick]
+    if param.mode == IRRATIONAL:
+        return _key_records(param.epsilon, a, b, n, m), value
+    starts = [0, *itertools.compress(range(1, len(value)), map(operator.ne, value, value[1:]))]
+    runs = list(zip(starts, starts[1:] + [len(value)]))
+    # only keys that hold a level alone become records; merged runs are built from their states
+    lone = [lo for lo, hi in runs if hi - lo == 1]
+    records = iter(_key_records(param.epsilon, a[lone], b[lone], n[lone], m[lone]))
+    n, m = n.tolist(), m.tolist()
+    levels = [
+        next(records) if hi - lo == 1 else _merged(k, param.epsilon, zip(n[lo:hi], m[lo:hi]))
+        for lo, hi in runs
+    ]
+    return levels, [value[i] for i in starts]
+
+
+def _key_records(epsilon: float, a: np.ndarray, b: np.ndarray, n: np.ndarray, m: np.ndarray) -> list[LevelRecord]:
+    """One singlet or doublet level per key, from the key arrays and each key's state with n >= m."""
     # shifted_energy's operation order, so each energy is bit-equal to it
-    energy = -(a + 2.0 * param.epsilon * b)
-    records = [
+    energy = -(a + 2.0 * epsilon * b)
+    return [
         LevelRecord(LevelKey(ak, bk), ((nk, nk),), 1, ek, SINGLET)
         if nk == mk
         else LevelRecord(LevelKey(ak, bk), ((nk, mk), (mk, nk)), 2, ek, DOUBLET)
         for ak, bk, nk, mk, ek in zip(a.tolist(), b.tolist(), n.tolist(), m.tolist(), energy.tolist())
     ]
-    if param.mode == IRRATIONAL:
-        return records, value
-    starts = [0, *itertools.compress(range(1, len(value)), map(operator.ne, value, value[1:]))]
-    levels = [
-        records[lo] if hi - lo == 1 else _merged(k, param.epsilon, records[lo:hi])
-        for lo, hi in zip(starts, starts[1:] + [len(value)])
-    ]
-    return levels, [value[i] for i in starts]
 
 
-def _merged(k: int, epsilon: float, records: list[LevelRecord]) -> LevelRecord:
-    """One accidental level holding the members of several keys, represented by its canonical first member."""
-    members = sorted((nm for rec in records for nm in rec.members), key=lambda nm: (-(nm[0] - nm[1]), nm[0]))
+def _merged(k: int, epsilon: float, states) -> LevelRecord:
+    """One accidental level holding the keys of ``states`` (each n >= m), represented by its canonical first member."""
+    members = sorted({q for nm in states for q in (nm, nm[::-1])}, key=lambda nm: (-(nm[0] - nm[1]), nm[0]))
     rep = members[0]
     energy = shifted_energy(k, epsilon, *rep)
     return LevelRecord(level_key(k, *rep), tuple(members), len(members), energy, ACCIDENTAL)

@@ -51,9 +51,10 @@ _TABLE_TOL, _CHECK_NODES = 1.0e-7, 8
 # 1D density below this fraction of its peak counts as outside the support.
 _SUPPORT_CUT = 1.0e-14
 
-# Modes a support scan evaluates at once: 16 rows of 4097 samples keep each
-# of the scan's arrays at 0.5 MB however deep the well.
-_SCAN_ROWS = 16
+# Samples of a support scan window, and the modes a scan evaluates at once:
+# 16 rows of 4097 samples keep each of the scan's arrays at 0.5 MB however
+# deep the well.
+_SCAN_SAMPLES, _SCAN_ROWS = 4097, 16
 
 # Cap on ln z.  The Laguerre recurrence multiplies z by running values of up
 # to 1e250, which stays finite while ln z < ln(DBL_MAX / 1e250) = 134.1.  Past
@@ -369,6 +370,7 @@ class MorseBasis:
         self.beta = physical.beta
         self.k = principal.k
         self._boxes: dict = {}
+        self._support: tuple[float, float] | None = None
         self._tables: dict = {}
         self._overlap: np.ndarray | None = None
 
@@ -461,27 +463,73 @@ class MorseBasis:
         return self._boxes[n]
 
     def support_box(self) -> tuple[float, float]:
-        """Union of the boxes of every bound mode."""
+        """Union of the boxes of every bound mode, cached; bit for bit the union of every ``mode_box``.
+
+        Only the union's two ends matter.  The top two modes, which in
+        practice set them, are scanned in full and give (lo, hi).  Every other
+        mode not cached yet is evaluated on part of its scan's first window:
+        every 16th sample, and each sample whose box edge would fall outside
+        (lo, hi).  Let thr be the largest of these values of g = ln |phi_n|^2,
+        plus ln 1e-14.  A mode whose two end samples and outside-edge samples
+        all have g <= thr lies inside the union and gets no cached box
+        (``mode_box`` scans it on demand); any other mode is scanned in full
+        and widens (lo, hi).  The check runs _SCAN_ROWS modes at a time.
+
+        This is exact.  The envelope and the recurrence act on each sample
+        alone, so every value is the scan's own, bit for bit, and a partial
+        maximum is at most the scan's, so thr is at most the scan's
+        threshold.  A skipped mode's window would therefore not grow, and none
+        of its samples above the threshold has an edge outside (lo, hi).  A
+        NaN fails "<=", so its mode goes to the full scan, as before.
+        """
+        if self._support is not None:
+            return self._support
         modes = self.bound_modes()
-        self._scan(modes)
-        boxes = [self._boxes[n] for n in modes]
-        return min(b[0] for b in boxes), max(b[1] for b in boxes)
+        self._scan(modes[-2:])
+        boxes = [self._boxes[n] for n in modes if n in self._boxes]
+        lo, hi = min(b[0] for b in boxes), max(b[1] for b in boxes)
+        rest = [n for n in reversed(modes) if n not in self._boxes]
+        log_nu, log_cut = math.log(self.nu), math.log(_SUPPORT_CUT)
+        us = np.linspace(*self._start_window(), _SCAN_SAMPLES)
+        du = us[1] - us[0]
+        # the box edges _scan would give each sample, in its operation order
+        lo_edge, hi_edge = (log_nu - (us + du)) / self.beta, (log_nu - (us - du)) / self.beta
+        for i in range(0, len(rest), _SCAN_ROWS):
+            outside = (lo_edge < lo) | (hi_edge > hi)
+            outside[[0, -1]] = True
+            sampled = outside.copy()
+            sampled[::16] = True
+            chunk = np.array(sorted(rest[i : i + _SCAN_ROWS]))
+            z, log_pre = self._envelope(chunk, us[sampled])
+            _, log_lag = laguerre_signed_log(chunk, 2.0 * (self.p - chunk), z)
+            g = 2.0 * (log_pre + log_lag)
+            inside = np.all(g[:, outside[sampled]] <= g.max(axis=1, keepdims=True) + log_cut, axis=1)
+            unproved = chunk[~inside].tolist()
+            self._scan(unproved)
+            for n in unproved:
+                lo, hi = min(lo, self._boxes[n][0]), max(hi, self._boxes[n][1])
+        self._support = (lo, hi)
+        return self._support
+
+    def _start_window(self) -> tuple[float, float]:
+        """The u = ln z window every support scan starts on, around the classically allowed region."""
+        return -8.0, math.log(4.0 * self.nu + 50.0)
 
     def _scan(self, modes) -> None:
         """Find and cache the box of every mode in ``modes`` not cached yet.
 
         The scan runs in u = ln z (u decreasing <-> x increasing).  Every mode
-        starts on a window around the classically allowed region, sampled at
-        4097 points; while the log density at an end of its window is still
-        above the cut, that edge moves out and the mode is scanned again.
-        Modes on the same window are scanned together, _SCAN_ROWS at a time.
+        starts on ``_start_window``, sampled at 4097 points; while the log
+        density at an end of its window is still above the cut, that edge
+        moves out and the mode is scanned again.  Modes on the same window
+        are scanned together, _SCAN_ROWS at a time.
         """
         log_cut = math.log(_SUPPORT_CUT)
-        windows = {(-8.0, math.log(4.0 * self.nu + 50.0)): [n for n in modes if n not in self._boxes]}
+        windows = {self._start_window(): [n for n in modes if n not in self._boxes]}
         for _ in range(200):
             grown: dict = {}
             for (lo_u, hi_u), group in windows.items():
-                us = np.linspace(lo_u, hi_u, 4097)
+                us = np.linspace(lo_u, hi_u, _SCAN_SAMPLES)
                 du = us[1] - us[0]
                 for i in range(0, len(group), _SCAN_ROWS):
                     chunk = np.array(sorted(group[i : i + _SCAN_ROWS]))

@@ -542,6 +542,32 @@ class TestAllModesMatchModeLoops:
         assert _same_bits(field.values, density_grid_loop(basis, state, field.spec))
         assert _same_bits(basis.overlap_table(), overlap_table_loop(basis))
 
+    @staticmethod
+    def _check_support_box(basis) -> list[int]:
+        """support_box() against the per-mode loop; a mode it proved inside without a scan still scans true."""
+        assert _same_bits(basis.support_box(), support_box_loop(basis))
+        skipped = [n for n in basis.bound_modes() if n not in basis._boxes]
+        if skipped:
+            assert _same_bits(basis.mode_box(skipped[0]), mode_box_scan(basis, skipped[0]))
+        return skipped
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(min_value=0, max_value=60),
+        eps=st.one_of(st.sampled_from([1.0e-4, 1.0 - 1.0e-4]), st.floats(min_value=1.0e-4, max_value=1.0 - 1.0e-4)),
+        beta=st.sampled_from([1.0, 0.37, 2.5]),
+    )
+    def test_property_support_box_matches_loop(self, k, eps, beta):
+        param = decompose(repr(k + eps), "irrational")
+        depth = depth_for_principal(param.p_value, beta=beta)
+        self._check_support_box(MorseBasis(param, PhysicalParams(mass=1.0, depth=depth, beta=beta, hbar=1.0)))
+
+    # 100.01 rescans its top mode on a wider window; many wall-side modes of 200.97 need a full scan
+    @pytest.mark.deep
+    @pytest.mark.parametrize("text", ["100.01", "200.97", "400.3717"])
+    def test_deep_support_box_matches_loop(self, text):
+        assert self._check_support_box(MorseBasis(decompose(text, "irrational")))
+
     def test_single_mode_calls(self):
         basis = MorseBasis(decompose("24.3717", "irrational"))
         # far left ln z passes its cap of 130 and every mode is an exact zero;
