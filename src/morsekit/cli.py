@@ -124,7 +124,7 @@ def _parse_principal(p_raw, mode_raw):
 
     match = _PI_PATTERN.match(p_text)
     if match:
-        multiple = float(match.group(1)) if match.group(1) else 1.0
+        multiple = _parsed(float, match.group(1), "--p") if match.group(1) else 1.0
         p_text = spectrum.pi_multiple_text(multiple)
         if mode is None:
             mode = spectrum.IRRATIONAL

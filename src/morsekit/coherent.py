@@ -13,6 +13,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from decimal import Decimal, getcontext, localcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -191,15 +193,32 @@ def bg_residual(state: CoherentState, ladder: LadderSpectrum) -> float:
     return math.exp(log_bg_residual(state, ladder))
 
 
+def _root(value) -> Decimal:
+    """Square root of ``value`` (float, Fraction or Decimal) correctly rounded to the context precision.
+
+    With value = m/e exactly, s = isqrt(m 10^(2q) // e) is the root's floor at
+    q places; q leaves s at least one digit beyond the precision, and an
+    appended sticky digit (1 when s^2 e != m 10^(2q)) marks a nonzero rest.
+    """
+    m, e = value.as_integer_ratio()
+    q = getcontext().prec + 2 + max(0, e.bit_length() - m.bit_length()) // 3
+    scaled = m * 10 ** (2 * q)
+    s = math.isqrt(scaled // e)
+    return (+Decimal(10 * s + (s * s * e != scaled))).scaleb(-(q + 1))
+
+
 def bg_residual_direct(state: CoherentState, ladder: LadderSpectrum) -> float:
     """Truncation residual from the ladder action itself, in high precision.
 
     Recomputes the coefficients, applies the lowering operator term by term
-    and measures || A- |Psi> - Psi |Psi> || with mpmath.  Rung n of both
-    vectors carries the phase e^(i (n+1) arg Psi), so only the magnitudes
-    e_n = |Psi|^n / (r_1 ... r_n), r_j = sqrt(f(j)), enter.  Each e_n is built
-    from its definition with a running power and a running product of roots,
-    never from e_(n-1) through the ratio |Psi| / r_n that the check tests.
+    and measures || A- |Psi> - Psi |Psi> || in ``decimal`` arithmetic.  Rung n
+    of both vectors carries the phase e^(i (n+1) arg Psi), so only the
+    magnitudes e_n = |Psi|^n / (r_1 ... r_n), r_j = sqrt(f(j)), enter.  Each
+    e_n is built from its definition with a running power and a running
+    product of roots, never from e_(n-1) through the ratio |Psi| / r_n that
+    the check tests.  Every square root, |Psi| included, is the integer
+    square root of the exact value scaled past the working precision, with a
+    sticky digit for any rest, rounded once: the correctly rounded root.
     The working precision is 40 digits plus the number of decimal places the
     closed-form estimate ``log_bg_residual`` puts below 1, so the
     subtraction keeps significant digits; doubles alone lose the residual
@@ -210,12 +229,11 @@ def bg_residual_direct(state: CoherentState, ladder: LadderSpectrum) -> float:
     estimate = log_bg_residual(state, ladder) / math.log(10.0)  # also checks the ladder
     if state.psi == 0.0:
         return 0.0
-    import mpmath
-
-    with mpmath.workdps(40 + min(340, max(0, -int(math.floor(estimate))))):
-        apsi = abs(mpmath.mpc(state.psi))
-        roots = [mpmath.sqrt(f) for f in ladder.f[1:].tolist()]
-        power = root_fact = mpmath.mpf(1)
+    with localcontext() as ctx:
+        ctx.prec = 40 + min(340, max(0, -int(math.floor(estimate))))
+        apsi = _root(Fraction(state.psi.real) ** 2 + Fraction(state.psi.imag) ** 2)
+        roots = [_root(f) for f in ladder.f[1:].tolist()]
+        power = root_fact = Decimal(1)
         e = [power]
         for r in roots:
             power *= apsi
@@ -224,7 +242,7 @@ def bg_residual_direct(state: CoherentState, ladder: LadderSpectrum) -> float:
         # (A- c)_n = sqrt(f(n+1)) c_{n+1}, zero at the top rung
         gaps = [r * hi - apsi * lo for r, lo, hi in zip(roots, e, e[1:])]
         gaps.append(apsi * e[-1])
-        return float(mpmath.sqrt(mpmath.fdot(gaps, gaps) / mpmath.fdot(e, e)))
+        return float(_root(sum(g * g for g in gaps) / sum(x * x for x in e)))
 
 
 @dataclass(frozen=True)

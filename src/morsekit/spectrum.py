@@ -20,7 +20,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 from typing import Iterable
 
@@ -209,15 +209,26 @@ def decompose(p, mode: str, ratio=None) -> PrincipalParameter:
     return PrincipalParameter(p_text, p_value, k, epsilon, IRRATIONAL, None)
 
 
+# pi to 120 decimal places, 80 beyond the 40 digits pi_multiple_text writes
+_PI = Decimal(
+    "3.14159265358979323846264338327950288419716939937510"
+    "58209749445923078164062862089986280348253421170679"
+    "82148086513282306647"
+)
+
+
 def pi_multiple_text(multiple: float = 1.0) -> str:
     """Decimal text of multiple * pi to 40 significant digits.
 
     Convenience for driving irrational-mode examples with a transcendental p.
+    The exact product of the double and ``_PI`` is rounded half-even once;
+    zero is written ``'0.0'``.
     """
-    import mpmath
-
-    with mpmath.workdps(50):
-        return mpmath.nstr(mpmath.mpf(multiple) * mpmath.pi, 40, strip_zeros=False)
+    if multiple == 0:
+        return "0.0"
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return format(Decimal(multiple) * _PI, "f")
 
 
 def _check_quanta(k: int, n: int, m: int) -> None:

@@ -205,6 +205,12 @@ def overlap_table_loop(basis):
     return rows @ rows.T
 
 
+def pi_multiple_text_mpmath(multiple=1.0):
+    """pi_multiple_text through mpmath: the product at 50 digits, printed to 40."""
+    with mpmath.workdps(50):
+        return mpmath.nstr(mpmath.mpf(multiple) * mpmath.pi, 40, strip_zeros=False)
+
+
 def bg_residual_direct_logexp(state, ladder):
     """bg_residual_direct with each magnitude exponentiated from its log.
 
@@ -232,6 +238,11 @@ def bg_residual_direct_complex(state, ladder, dps=None):
     """bg_residual_direct on the complex coefficients, phases and all."""
     if state.psi == 0.0:
         return 0.0
+    return float(residual_complex_mpf(state, ladder, dps))
+
+
+def residual_complex_mpf(state, ladder, dps=None):
+    """bg_residual_direct_complex before it is rounded to a double: an mpf at dps digits."""
     if dps is None:
         estimate = (
             (state.xi + 1) * math.log10(abs(state.psi))
@@ -258,10 +269,9 @@ def bg_residual_direct_complex(state, ladder, dps=None):
             mpmath.sqrt(mpmath.mpf(ladder.f[i + 1])) * coeff[i + 1] if i < state.xi else mpmath.mpc(0)
             for i in range(state.xi + 1)
         ]
-        residual = mpmath.sqrt(
+        return mpmath.sqrt(
             mpmath.fsum(abs(lowered[i] - psi * coeff[i]) ** 2 for i in range(state.xi + 1))
         )
-        return float(residual)
 
 
 def gram_matrix_loop(basis, states):

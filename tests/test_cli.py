@@ -452,6 +452,18 @@ class TestExitCodes:
         assert err == "error: principal parameter must be a positive finite number, got '1e400'\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (".pi", "cannot parse --p value '.': could not convert string to float: '.'"),
+            ("0pi", "principal parameter must be a positive finite number, got '0.0'"),
+        ],
+    )
+    def test_unusable_pi_multiple(self, tmp_path, capsys, value, message):
+        code, out, err = run(capsys, "spectrum", "--p", value, "--out", str(tmp_path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_mode(self, tmp_path, capsys):
         code, _, err = run(capsys, "spectrum", "--p", "4.5", "--out", str(tmp_path))
         assert code == 2
@@ -787,22 +799,25 @@ assert not loaded, loaded
     run_fresh(script)
 
 
-def test_mpmath_loads_only_when_used(tmp_path):
-    # pi_multiple_text and bg_residual_direct are its only users
+def test_runtime_never_imports_mpmath(tmp_path):
+    # mpmath is a test-only reference: the README calls and the direct residual run without it
     script = f"""
 import sys
 import morsekit.cli
-assert "mpmath" not in sys.modules
 out = {str(tmp_path)!r}
 for argv in (
+    ["spectrum", "--p", "3pi"],
     ["degeneracy", "--p", "28", "--mode", "integer"],
-    ["spectrum", "--p", "9.3717", "--mode", "irrational"],
-    ["density", "--p", "9.3717", "--mode", "irrational", "--psi", "0.5", "--grid", "12x10"],
+    ["density", "--p", "3pi", "--mu", "18", "--gamma", "0.866", "--delta", "0.5", "--grid", "300x300"],
+    ["density", "--p", "3pi", "--psi", "0.1"],
+    ["uncertainty", "--p", "3pi", "--gamma", "0.866", "--delta", "0.5"],
 ):
     assert morsekit.cli.main(argv + ["--out", out]) == 0, argv
+spectrum = morsekit.order_spectrum(morsekit.decompose(morsekit.pi_multiple_text(3.0), "irrational"))
+ladder = morsekit.ladder_f(spectrum)
+state = morsekit.coherent_coefficients(1.5 + 2j, ladder, morsekit.build_mu_basis(spectrum))
+assert morsekit.bg_residual_direct(state, ladder) > 0.0
 assert "mpmath" not in sys.modules
-assert morsekit.cli.main(["degeneracy", "--p", "3pi", "--out", out]) == 0
-assert "mpmath" in sys.modules
 """
     run_fresh(script)
 

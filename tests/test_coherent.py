@@ -1,6 +1,8 @@
 """Coherent states over the level ladder: coefficients, residuals, moments."""
 
 import cmath
+import contextlib
+import decimal
 import math
 import random
 import sys
@@ -16,6 +18,7 @@ from oracles import (
     bg_residual_direct_complex,
     bg_residual_direct_logexp,
     coherent_coefficient_matrix_sum,
+    residual_complex_mpf,
 )
 from scipy.integrate import quad as scipy_quad
 from scipy.special import logsumexp
@@ -42,6 +45,7 @@ from morsekit import (
     pi_multiple_text,
     uncertainty_sweep,
 )
+from morsekit import coherent
 from morsekit.coherent import _axis_expectations
 from morsekit.states import _expand
 
@@ -238,6 +242,40 @@ class TestResidual:
         assert bg_residual_direct(state, ladder) == expected
         assert bg_residual_direct_complex(state, ladder) == expected
 
+    @pytest.mark.parametrize("digits", [40, 190, 380])
+    def test_root_matches_decimal_sqrt(self, digits):
+        # both are correctly rounded, so they agree exactly, from subnormal to huge values
+        rng = random.Random(f"root:{digits}")
+        floats = [5e-324, 0.01, 1.0, 2.0, 1e-300, 1.7976931348623157e308]
+        floats += [rng.uniform(0.5, 2.0) * 10.0 ** rng.randint(-300, 300) for _ in range(200)]
+        # the final ratio is a full-precision decimal, down to about 1e-680
+        decimals = [
+            decimal.Decimal(f"{rng.randrange(10 ** (digits - 1), 10**digits)}E{rng.randint(-700, 300)}")
+            for _ in range(200)
+        ]
+        # roots a hair above, at and a hair below a halfway point between two results
+        with decimal.localcontext() as ctx:
+            ctx.prec = 4 * digits
+            for _ in range(100):
+                half = decimal.Decimal(f"{rng.randrange(10 ** (digits - 1), 10**digits)}5E{rng.randint(-400, 300)}")
+                square = half * half
+                decimals += [square + delta * square.scaleb(-3 * digits) for delta in (1, 0, -1)]
+        with decimal.localcontext() as ctx:
+            ctx.prec = digits
+            for value in floats:
+                assert coherent._root(value) == decimal.Decimal(value).sqrt(), value
+            for value in decimals:
+                assert coherent._root(value) == value.sqrt(), value
+
+    def test_direct_residual_subnormal_is_correctly_rounded(self):
+        # mpmath's float() rounds this subnormal twice, to 1.6498962625735345e-308
+        spectrum = order_spectrum(decompose("24.3717", "irrational"))
+        ladder = ladder_f(spectrum)
+        state = coherent_coefficients(3.0, ladder, build_mu_basis(spectrum))
+        expected = float(mpmath.nstr(residual_complex_mpf(state, ladder, dps=600), 600))
+        assert expected == 1.649896262573534e-308
+        assert bg_residual_direct(state, ladder) == expected
+
     def test_direct_residual_equals_complex_oracle(self):
         # the magnitude form drops phases that cancel term by term; at the
         # chosen precision both round to the same double
@@ -301,8 +339,15 @@ class TestResidual:
         state = coherent_coefficients(1.0, ladder, build_mu_basis(spectrum))
         assert log_bg_residual(state, ladder) / math.log(10.0) < -1000.0
         digits = []
-        workdps = mpmath.workdps
-        monkeypatch.setattr(mpmath, "workdps", lambda n: digits.append(n) or workdps(n))
+
+        @contextlib.contextmanager
+        def recorded_context():
+            # the precision the body set, read when the body leaves the context
+            with decimal.localcontext() as ctx:
+                yield ctx
+                digits.append(ctx.prec)
+
+        monkeypatch.setattr(coherent, "localcontext", recorded_context)
         assert bg_residual_direct(state, ladder) == 0.0
         assert len(digits) == 1 and digits[0] <= 380
 

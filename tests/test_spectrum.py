@@ -7,12 +7,14 @@ import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import crossing_report_pairs, enumerate_levels_loop, order_spectrum_float
+from oracles import crossing_report_pairs, enumerate_levels_loop, order_spectrum_float, pi_multiple_text_mpmath
 
+from morsekit import spectrum
 from morsekit import (
     ACCIDENTAL,
     DOUBLET,
@@ -118,6 +120,17 @@ class TestDecompose:
         assert param.k == 9
         assert param.p_value == pytest.approx(3.0 * math.pi, rel=1e-15)
         assert param.epsilon == pytest.approx(3.0 * math.pi - 9.0, rel=1e-12)
+
+    def test_pi_multiple_text_matches_mpmath(self):
+        multiples = [j / 10 for j in range(1, 400)]
+        multiples += [3, 9, 4, 1 / 3, 123.456, 0.001, 1, 1e3, 1e6, 1e20, 1e-7, 12345.678, 2.5e-5]
+        for multiple in multiples:
+            assert pi_multiple_text(multiple) == pi_multiple_text_mpmath(multiple), multiple
+        assert pi_multiple_text(0.0) == pi_multiple_text_mpmath(0.0) == "0.0"
+
+    def test_pi_constant_digits(self):
+        with mpmath.workdps(200):
+            assert abs(mpmath.mpf(str(spectrum._PI)) - mpmath.pi) < mpmath.mpf(10) ** -120
 
     def test_epsilon_exact_tracks_text(self):
         param = decompose("12.625", RATIONAL)
