@@ -110,20 +110,25 @@ class CoherentState:
         return math.exp(self.log_normalization)
 
     def coefficient_matrix(self, dim: int) -> np.ndarray:
-        states = self.basis.states
-        n = np.array([state.n for state in states])
-        m = np.array([state.m for state in states])
+        """sum_n c_n C(mu_n) as a (dim x dim) matrix, from the basis columns.
+
+        Level n adds c_n gamma_n at (n_n, m_n) and, unless diagonal, c_n
+        delta_n at (m_n, n_n), in level order.  Levels whose c_n is an exact
+        zero are skipped: each of their terms is a signed zero, which leaves
+        every sum unchanged.
+        """
+        basis = self.basis
+        n, m = basis.spectrum.n, basis.spectrum.m
         if n.max() >= dim:
             raise ValueError(f"level states up to n = {n.max()} do not fit in dimension {dim}")
-        # MuState.entries of level i, flattened: (n, m, gamma), then (m, n, delta) unless diagonal
-        pairs = [(1.0 + 0.0j, 0.0j) if state.coeffs is None else (state.coeffs.gamma, state.coeffs.delta)
-                 for state in states]
-        keep = np.column_stack([np.ones(n.size, dtype=bool), n != m]).ravel()
+        live = np.flatnonzero(self.coefficients)
+        n, m = n[live], m[live]
+        keep = np.column_stack([np.ones(live.size, dtype=bool), n != m]).ravel()
         rows = np.column_stack([n, m]).ravel()[keep]
         cols = np.column_stack([m, n]).ravel()[keep]
-        values = np.array(pairs, dtype=complex).ravel()[keep]
+        values = np.column_stack([basis.gamma[live], basis.delta[live]]).ravel()[keep]
         c = np.zeros((dim, dim), dtype=complex)
-        np.add.at(c, (rows, cols), np.repeat(self.coefficients, 2)[keep] * values)
+        np.add.at(c, (rows, cols), np.repeat(self.coefficients[live], 2)[keep] * values)
         return c
 
     def localization_fraction(self, count: int = 1) -> float:

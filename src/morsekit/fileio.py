@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .coherent import CoherentState, SweepPoint
-from .spectrum import OrderedSpectrum, scaled_energy
+from .spectrum import ACCIDENTAL, DOUBLET, SINGLET, OrderedSpectrum
 from .states import MixingCoefficients, ScalarField2D
 
 __all__ = [
@@ -58,15 +58,15 @@ _LEVEL_FIELDS = ("index", "n_list", "m_list", "multiplicity", "classification", 
 
 
 def _level_rows(spectrum: OrderedSpectrum, only_classification: str | None = None):
-    """One tuple of cells per level, in the order of ``_LEVEL_FIELDS``."""
-    k = spectrum.parameter.k
+    """One tuple of cells per level, in the order of ``_LEVEL_FIELDS``, read from the spectrum's columns."""
     eps = spectrum.parameter.epsilon
-    for i, rec in enumerate(spectrum.levels):
-        if only_classification is not None and rec.classification != only_classification:
+    # scaled_energy rounds -((a + 2 eps b) + 2 eps^2), which is the shifted energy minus 2 eps^2, bit for bit
+    scaled = spectrum.shifted_energies() - 2.0 * eps * eps
+    levels = spectrum._fields(0, scaled.size)
+    for i, ((members, label, a, b, energy), scaled_i) in enumerate(zip(levels, scaled.tolist())):
+        if only_classification is not None and label != only_classification:
             continue
-        n0, m0 = rec.members[0]
-        yield (i, [n for n, _ in rec.members], [m for _, m in rec.members], rec.multiplicity,
-               rec.classification, rec.key.a, rec.key.b, rec.shifted_energy, scaled_energy(k, eps, n0, m0))
+        yield (i, [n for n, _ in members], [m for _, m in members], len(members), label, a, b, energy, scaled_i)
 
 
 def write_spectrum_csv(path, spectrum: OrderedSpectrum, only_classification: str | None = None) -> None:
@@ -74,20 +74,46 @@ def write_spectrum_csv(path, spectrum: OrderedSpectrum, only_classification: str
     _write_csv(path, _LEVEL_FIELDS, _level_rows(spectrum, only_classification))
 
 
+_JSON_LABELS = {label: json.dumps(label) for label in (SINGLET, DOUBLET, ACCIDENTAL)}
+
+
+def _level_json(index, n_list, m_list, multiplicity, classification, a, b, shifted, scaled) -> str:
+    """One level as ``json.dumps(sort_keys=True, indent=1)`` writes it inside the document's level list.
+
+    A float is written with ``float.__repr__``, json's own text for a finite
+    double, and a classification with its ``json.dumps`` text.
+    """
+    n_text = ",\n    ".join(map(str, n_list))
+    m_text = ",\n    ".join(map(str, m_list))
+    return (
+        f'  {{\n   "a": {a},\n   "b": {b},\n   "classification": {_JSON_LABELS[classification]},\n'
+        f'   "index": {index},\n   "m_list": [\n    {m_text}\n   ],\n   "multiplicity": {multiplicity},\n'
+        f'   "n_list": [\n    {n_text}\n   ],\n   "scaled_energy": {scaled!r},\n'
+        f'   "shifted_energy": {shifted!r}\n  }}'
+    )
+
+
 def write_spectrum_json(path, spectrum: OrderedSpectrum, only_classification: str | None = None) -> None:
-    """JSON mirror of the CSV table plus the parameter block."""
+    """JSON mirror of the CSV table plus the parameter block.
+
+    The parameter block goes through ``json.dumps`` with a null placeholder
+    for ``"levels"``, which the levels' text then replaces.
+    """
     param = spectrum.parameter
     doc = {
         "epsilon": param.epsilon,
         "k": param.k,
-        "levels": [dict(zip(_LEVEL_FIELDS, row)) for row in _level_rows(spectrum, only_classification)],
+        "levels": None,
         "mode": param.mode,
         "p_text": param.p_text,
         "xi": spectrum.xi,
     }
     if param.ratio is not None:
         doc["epsilon_ratio"] = [param.ratio.numerator, param.ratio.denominator]
-    _dump_json(path, doc)
+    levels = ",\n".join(_level_json(*row) for row in _level_rows(spectrum, only_classification))
+    text = json.dumps(doc, sort_keys=True, indent=1)
+    text = text.replace('"levels": null', f'"levels": [\n{levels}\n ]' if levels else '"levels": []', 1)
+    Path(path).write_text(text + "\n")
 
 
 def _dump_json(path, doc) -> None:

@@ -9,20 +9,21 @@ the fractional part), or ``irrational``.  All grouping and ordering decisions
 are made on one exact integer per key; floats only carry the final energy
 values.  The levels come from the L = (k+1)(k+2)/2 keys (a, b), one per
 unordered pair of quanta {n, m}, held as numpy arrays and ordered by one
-sort of their exact values, not from a pass over the (k+1)^2 states.
+sort of their exact values, not from a pass over the (k+1)^2 states.  An
+ordered spectrum keeps those sorted columns; a LevelRecord is built only
+when a caller reads one.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 import operator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, localcontext
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
@@ -40,6 +41,7 @@ __all__ = [
     "PrincipalParameter",
     "LevelKey",
     "LevelRecord",
+    "LevelSequence",
     "OrderedSpectrum",
     "CountSummary",
     "Crossing",
@@ -67,8 +69,8 @@ ACCIDENTAL = "accidental"
 _MODES = (INTEGER, RATIONAL, IRRATIONAL)
 
 # Deepest supported well, k = floor(p).  Measured at k = 400 on a 2-vCPU guest:
-# `spectrum --p 400 --mode integer` takes 1.5 s and 211 MB, `density --p
-# 400.3717 --mode irrational --psi 2` 3.4 s and 140 MB, and the exact overlap
+# `spectrum --p 400 --mode integer` takes 1.4 s and 98 MB, `density --p
+# 400.3717 --mode irrational --psi 2` 1.2 s and 66 MB, and the exact overlap
 # table holds max|S - I| = 1.2e-10.  The state count grows as (k + 1)^2.
 K_MAX = 400
 
@@ -311,66 +313,51 @@ def _keys(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return n, m, u * u + v * v, u + v
 
 
-def _ordered_levels(param: PrincipalParameter) -> tuple[list[LevelRecord], list[int]]:
-    """The levels of ``enumerate_levels`` and, in the same order, the exact value a D + 2 N b of each.
+def _ordered_levels(param: PrincipalParameter) -> tuple["OrderedSpectrum", np.ndarray]:
+    """The spectrum of ``enumerate_levels``, and for each key after the first whether it ties the key before it.
 
-    Each key is a singlet |n, n> or a swap doublet; one stable sort on the
-    value over the (a, b) order of ``np.lexsort`` gives (-value, a, b).
+    Each key is a singlet |n, n> or a swap doublet.  Keys are sorted by
+    descending exact value a D + 2 N b (epsilon = N / D); since
+    2 N b = q_b D + r_b with 0 <= r_b < D, that is the order of the int64
+    pairs (a + q_b, rank of r_b) for any D.  Keys of equal value stay by
+    (a, b) in irrational mode, which keeps each key as its own level.
+    Integer and rational modes merge them into one level and put the key
+    holding its canonical first member (largest n - m, then smallest n)
+    first.
     """
     k = param.k
     num, den = _exact_epsilon(param)
     n, m, a, b = _keys(k)
-    by_ab = np.lexsort((b, a))
-    value = [x * den + 2 * num * y for x, y in zip(a[by_ab].tolist(), b[by_ab].tolist())]
-    order = sorted(range(len(value)), key=value.__getitem__, reverse=True)  # stable: ties stay by (a, b)
-    value = [value[i] for i in order]
-    pick = by_ab[order]
-    a, b, n, m = a[pick], b[pick], n[pick], m[pick]
+    q, r = zip(*(divmod(2 * num * slope, den) for slope in range(2 * k + 1)))
+    rank = {x: i for i, x in enumerate(sorted(set(r)))}
+    high, low = a + np.array(q)[b], np.array([rank[x] for x in r])[b]
+    tiebreak = (b, a) if param.mode == IRRATIONAL else (n, m - n)
+    order = np.lexsort((*tiebreak, -low, -high))
+    high, low = high[order], low[order]
+    tied = (high[1:] == high[:-1]) & (low[1:] == low[:-1])
     if param.mode == IRRATIONAL:
-        return _key_records(param.epsilon, a, b, n, m), value
-    starts = [0, *itertools.compress(range(1, len(value)), map(operator.ne, value, value[1:]))]
-    runs = list(zip(starts, starts[1:] + [len(value)]))
-    # only keys that hold a level alone become records; merged runs are built from their states
-    lone = [lo for lo, hi in runs if hi - lo == 1]
-    records = iter(_key_records(param.epsilon, a[lone], b[lone], n[lone], m[lone]))
-    n, m = n.tolist(), m.tolist()
-    levels = [
-        next(records) if hi - lo == 1 else _merged(k, param.epsilon, zip(n[lo:hi], m[lo:hi]))
-        for lo, hi in runs
-    ]
-    return levels, [value[i] for i in starts]
+        bounds = np.arange(order.size + 1)
+    else:
+        bounds = np.concatenate(([0], np.flatnonzero(~tied) + 1, [order.size]))
+    return OrderedSpectrum(param, n[order], m[order], a[order], b[order], bounds), tied
 
 
-def _key_records(epsilon: float, a: np.ndarray, b: np.ndarray, n: np.ndarray, m: np.ndarray) -> list[LevelRecord]:
-    """One singlet or doublet level per key, from the key arrays and each key's state with n >= m."""
-    # shifted_energy's operation order, so each energy is bit-equal to it
-    energy = -(a + 2.0 * epsilon * b)
-    return [
-        LevelRecord(LevelKey(ak, bk), ((nk, nk),), 1, ek, SINGLET)
-        if nk == mk
-        else LevelRecord(LevelKey(ak, bk), ((nk, mk), (mk, nk)), 2, ek, DOUBLET)
-        for ak, bk, nk, mk, ek in zip(a.tolist(), b.tolist(), n.tolist(), m.tolist(), energy.tolist())
-    ]
+def _canonical(nm: tuple[int, int]) -> tuple[int, int]:
+    """Sort key of a level's members: descending n - m, then ascending n."""
+    return -(nm[0] - nm[1]), nm[0]
 
 
-def _merged(k: int, epsilon: float, states) -> LevelRecord:
-    """One accidental level holding the keys of ``states`` (each n >= m), represented by its canonical first member."""
-    members = sorted({q for nm in states for q in (nm, nm[::-1])}, key=lambda nm: (-(nm[0] - nm[1]), nm[0]))
-    rep = members[0]
-    energy = shifted_energy(k, epsilon, *rep)
-    return LevelRecord(level_key(k, *rep), tuple(members), len(members), energy, ACCIDENTAL)
-
-
-def enumerate_levels(param: PrincipalParameter) -> list[LevelRecord]:
+def enumerate_levels(param: PrincipalParameter) -> "LevelSequence":
     """Exact degenerate levels of all (k+1)^2 bound states, built from the L = (k+1)(k+2)/2 keys.
 
     Every key (a, b) comes once, from its state with n >= m.  Integer and
     rational modes merge the keys whose exact level value a D + 2 N b
     (epsilon = N / D) matches; irrational mode keeps each key as its own
     level, since no other coincidence is possible.  Returns the levels
-    deepest first, sorted by (-value, a, b).
+    deepest first, sorted by (-value, a, b), as the lazy sequence that
+    ``OrderedSpectrum.levels`` is.
     """
-    return _ordered_levels(param)[0]
+    return _ordered_levels(param)[0].levels
 
 
 @dataclass(frozen=True)
@@ -390,6 +377,16 @@ class CountSummary:
 
 
 def count_summary(levels: Iterable[LevelRecord]) -> CountSummary:
+    """Census of ``levels``; a spectrum's ``LevelSequence`` is counted from its key columns.
+
+    There each key is one unordered pair and a state count of 2 (1 on the
+    diagonal), so no record is built.
+    """
+    if isinstance(levels, LevelSequence):
+        spectrum = levels.spectrum
+        pairs, distinct = spectrum.n.size, len(levels)
+        total = 2 * pairs - int(np.count_nonzero(spectrum.n == spectrum.m))
+        return CountSummary(total, pairs, distinct, pairs - distinct)
     levels = list(levels)
     total = sum(rec.multiplicity for rec in levels)
     swap_reduced = sum(rec.unordered_pairs() for rec in levels)
@@ -397,13 +394,113 @@ def count_summary(levels: Iterable[LevelRecord]) -> CountSummary:
     return CountSummary(total, swap_reduced, distinct, swap_reduced - distinct)
 
 
-@dataclass(frozen=True)
+# Records a LevelSequence builds at once while it is iterated.
+_RECORD_CHUNK = 1024
+
+
+class LevelSequence(Sequence):
+    """The levels of an ordered spectrum as a read-only sequence of LevelRecords.
+
+    ``len`` reads the spectrum's columns; indexing or iterating builds each
+    record on first use and keeps it.  A slice is a tuple.  The sequence
+    equals any tuple, list or LevelSequence holding equal records in the
+    same order.
+    """
+
+    __slots__ = ("spectrum", "_records")
+
+    def __init__(self, spectrum: "OrderedSpectrum"):
+        self.spectrum = spectrum
+        self._records: list[LevelRecord | None] = [None] * (spectrum.bounds.size - 1)
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"level index {index} out of range 0..{len(self) - 1}")
+        if self._records[i] is None:
+            self._build(i, i + 1)
+        return self._records[i]
+
+    def __iter__(self):
+        for start in range(0, len(self), _RECORD_CHUNK):
+            stop = min(start + _RECORD_CHUNK, len(self))
+            if None in self._records[start:stop]:
+                self._build(start, stop)
+            yield from self._records[start:stop]
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, list, LevelSequence)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"LevelSequence({len(self)} levels, p = {self.spectrum.parameter.p_text})"
+
+    def _build(self, start: int, stop: int) -> None:
+        """Build the records of levels start .. stop - 1 not built yet."""
+        for i, (members, label, a, b, energy) in zip(range(start, stop), self.spectrum._fields(start, stop)):
+            if self._records[i] is None:
+                self._records[i] = LevelRecord(LevelKey(a, b), members, len(members), energy, label)
+
+
+@dataclass(frozen=True, eq=False)
 class OrderedSpectrum:
-    """Levels of one spectrum indexed mu_0 (deepest) .. mu_xi (top, always (k,k))."""
+    """Levels of one spectrum indexed mu_0 (deepest) .. mu_xi (top, always (k,k)), held as key columns.
+
+    ``n``, ``m``, ``a`` and ``b`` hold every key (a, b) with its state
+    n >= m, deepest level first; level i holds the keys
+    ``bounds[i]:bounds[i + 1]``, and its first key carries the level's
+    canonical member, key and energy.  ``levels`` builds the LevelRecords
+    from these columns on demand.
+    """
 
     parameter: PrincipalParameter
-    levels: tuple[LevelRecord, ...]
-    xi: int
+    n: np.ndarray
+    m: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    bounds: np.ndarray
+
+    @property
+    def xi(self) -> int:
+        return self.bounds.size - 2
+
+    @functools.cached_property
+    def levels(self) -> LevelSequence:
+        return LevelSequence(self)
+
+    @functools.cached_property
+    def _energies(self) -> np.ndarray:
+        """Shifted energy of each level, from its first key in ``shifted_energy``'s operation order (bit-equal)."""
+        head = self.bounds[:-1]
+        energies = -(self.a[head] + 2.0 * self.parameter.epsilon * self.b[head])
+        energies.flags.writeable = False
+        return energies
+
+    def _fields(self, start: int, stop: int):
+        """(members, classification, a, b, shifted energy) of each level start .. stop - 1, from the columns."""
+        bounds = self.bounds[start : stop + 1].tolist()
+        first = bounds[0]
+        n, m, a, b = (col[first : bounds[-1]].tolist() for col in (self.n, self.m, self.a, self.b))
+        for lo, hi, energy in zip(bounds, bounds[1:], self._energies[start:stop].tolist()):
+            j = lo - first
+            if hi - lo > 1:
+                states = zip(n[j : hi - first], m[j : hi - first])
+                members = tuple(sorted({q for nm in states for q in (nm, nm[::-1])}, key=_canonical))
+                yield members, ACCIDENTAL, a[j], b[j], energy
+            elif n[j] == m[j]:
+                yield ((n[j], n[j]),), SINGLET, a[j], b[j], energy
+            else:
+                yield ((n[j], m[j]), (m[j], n[j])), DOUBLET, a[j], b[j], energy
 
     @functools.cached_property
     def _member_index(self) -> dict[tuple[int, int], int]:
@@ -417,7 +514,7 @@ class OrderedSpectrum:
             raise ValueError(f"state ({n}, {m}) not in a spectrum with k = {self.parameter.k}")
 
     def shifted_energies(self) -> np.ndarray:
-        return np.array([rec.shifted_energy for rec in self.levels])
+        return self._energies.copy()
 
 
 def order_spectrum(param: PrincipalParameter) -> OrderedSpectrum:
@@ -429,18 +526,17 @@ def order_spectrum(param: PrincipalParameter) -> OrderedSpectrum:
     levels with the same value contradict the declared irrationality and
     raise OrderingAmbiguityError.
     """
-    records, value = _ordered_levels(param)
-    if param.mode == IRRATIONAL:
-        tie = next(itertools.compress(range(1, len(value)), map(operator.eq, value, value[1:])), None)
-        if tie is not None:
-            u, v = records[tie - 1].key, records[tie].key
-            raise OrderingAmbiguityError(
-                f"levels {u} and {v} are exactly degenerate at "
-                f"p = {param.p_text}; the declared mode {param.mode!r} does not "
-                "admit a strict order here",
-                keys=(u, v), p_text=param.p_text, mode=param.mode,
-            )
-    return OrderedSpectrum(param, tuple(records), len(records) - 1)
+    spectrum, tied = _ordered_levels(param)
+    if param.mode == IRRATIONAL and tied.any():
+        tie = int(np.argmax(tied))
+        u, v = (LevelKey(int(spectrum.a[i]), int(spectrum.b[i])) for i in (tie, tie + 1))
+        raise OrderingAmbiguityError(
+            f"levels {u} and {v} are exactly degenerate at "
+            f"p = {param.p_text}; the declared mode {param.mode!r} does not "
+            "admit a strict order here",
+            keys=(u, v), p_text=param.p_text, mode=param.mode,
+        )
+    return spectrum
 
 
 @dataclass(frozen=True)

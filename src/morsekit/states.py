@@ -136,13 +136,21 @@ class MuState:
         return c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MuBasis:
-    """All xi + 1 level states of one ordered spectrum, indexed mu_0 .. mu_xi."""
+    """All xi + 1 level states of one ordered spectrum, indexed mu_0 .. mu_xi, held as columns.
+
+    Level i is |n_i, n_i> or gamma[i] |n_i, m_i> + delta[i] |m_i, n_i>,
+    with n_i >= m_i the spectrum's key columns.  ``gamma`` and ``delta``
+    hold each doublet's mixing pair (``coeffs`` or its override) and
+    (1, 0) at singlets.  ``states`` builds the MuState objects on first
+    access.
+    """
 
     spectrum: OrderedSpectrum
-    states: tuple[MuState, ...]
     coeffs: MixingCoefficients
+    gamma: np.ndarray
+    delta: np.ndarray
 
     @property
     def parameter(self) -> PrincipalParameter:
@@ -156,6 +164,16 @@ class MuBasis:
     def dim(self) -> int:
         return self.parameter.k + 1
 
+    @functools.cached_property
+    def states(self) -> tuple[MuState, ...]:
+        common = (self.coeffs.gamma, self.coeffs.delta)
+        levels = zip(self.spectrum.n.tolist(), self.spectrum.m.tolist(), self.gamma.tolist(), self.delta.tolist())
+        return tuple(
+            MuState(i, n, m) if n == m
+            else MuState(i, n, m, self.coeffs if (g, d) == common else MixingCoefficients(g, d))
+            for i, (n, m, g, d) in enumerate(levels)
+        )
+
 
 def build_mu_basis(
     spectrum: OrderedSpectrum,
@@ -165,26 +183,32 @@ def build_mu_basis(
     """Attach one state to every level: |n, n> for singlets, a mixed pair for doublets.
 
     ``coeffs`` is the common mixing pair for all doublets (equal mix by
-    default); ``overrides`` may replace it at individual level indices.  Any
-    accidental level makes the single-state-per-level construction
-    ill-defined and raises ValueError.
+    default); ``overrides`` may replace it at individual doublet level
+    indices.  An override at a singlet or at an index outside 0..xi raises
+    ValueError naming the index.  Any accidental level makes the
+    single-state-per-level construction ill-defined and raises ValueError.
     """
     if coeffs is None:
         coeffs = MixingCoefficients.equal_mix()
-    overrides = overrides or {}
-    states = []
-    for i, rec in enumerate(spectrum.levels):
-        if rec.classification == "accidental":
-            raise ValueError(
-                f"level {i} with key {rec.key} holds {rec.multiplicity} states; "
-                "a one-state-per-level basis needs a spectrum free of accidental degeneracy"
-            )
-        n, m = rec.members[0]
-        if n == m:
-            states.append(MuState(i, n, m))
-        else:
-            states.append(MuState(i, n, m, overrides.get(i, coeffs)))
-    return MuBasis(spectrum, tuple(states), coeffs)
+    merged = np.flatnonzero(np.diff(spectrum.bounds) > 1)
+    if merged.size:
+        i = int(merged[0])
+        rec = spectrum.levels[i]
+        raise ValueError(
+            f"level {i} with key {rec.key} holds {rec.multiplicity} states; "
+            "a one-state-per-level basis needs a spectrum free of accidental degeneracy"
+        )
+    diagonal = spectrum.n == spectrum.m
+    gamma = np.where(diagonal, 1.0 + 0.0j, coeffs.gamma)
+    delta = np.where(diagonal, 0.0j, coeffs.delta)
+    for i, pair in (overrides or {}).items():
+        if not (isinstance(i, (int, np.integer)) and 0 <= i <= spectrum.xi):
+            raise ValueError(f"override at level {i!r}: the level indices are 0..{spectrum.xi}")
+        if diagonal[i]:
+            n = spectrum.n[i]
+            raise ValueError(f"override at level {i}: the singlet |{n}, {n}> has no mixing pair")
+        gamma[i], delta[i] = pair.gamma, pair.delta
+    return MuBasis(spectrum, coeffs, gamma, delta)
 
 
 @dataclass(frozen=True)
@@ -392,18 +416,23 @@ class MorseBasis:
                 "and is not normalizable"
             )
 
+    @functools.cached_property
+    def _log_norms(self) -> np.ndarray:
+        """ln(N_n / sqrt(beta)) of every bound mode n, at index n (the bound modes are 0..K)."""
+        return np.array([_log_norm(self.nu, n) for n in self.bound_modes()])
+
     def log_norm_1d(self, n: int) -> float:
         """ln N_n with N_n = sqrt(beta (nu - 2n - 1) n! / Gamma(nu - n))."""
         self._check_mode(n)
-        return 0.5 * math.log(self.beta) + _log_norm(self.nu, n)
+        return 0.5 * math.log(self.beta) + float(self._log_norms[n])
 
     # -- pointwise evaluation -----------------------------------------------
 
     def _envelope(self, modes: np.ndarray, log_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """z, and ln N_n + (p - n) ln z - z/2 of the mode profile, one row per mode; ln z is clipped at 130."""
+        """z, and ln N_n + (p - n) ln z - z/2 of the mode profile, one row per bound mode; ln z is clipped at 130."""
         log_z = np.minimum(log_z, _LOG_Z_CAP)
         z = np.exp(log_z)
-        log_norm = np.array([self.log_norm_1d(n) for n in modes.tolist()])
+        log_norm = 0.5 * math.log(self.beta) + self._log_norms[modes]
         with np.errstate(over="ignore"):
             return z, log_norm[:, None] + (self.p - modes)[:, None] * log_z - 0.5 * z
 
@@ -444,12 +473,14 @@ class MorseBasis:
 
     def mode_values(self, n: int, x) -> np.ndarray:
         """phi_n on the given positions (scalar or array), as exact doubles; see ``_rows``."""
+        self._check_mode(n)
         arr = np.asarray(x, dtype=float)
         vals = self._rows([n], arr.reshape(-1))[0].reshape(arr.shape)
         return float(vals) if arr.ndim == 0 else vals
 
     def mode_derivative_values(self, n: int, x) -> np.ndarray:
         """d phi_n / dx on the given positions (scalar or array); see ``_rows``."""
+        self._check_mode(n)
         arr = np.asarray(x, dtype=float)
         vals = self._rows([n], arr.reshape(-1), derivative=True)[1][0].reshape(arr.shape)
         return float(vals) if arr.ndim == 0 else vals
@@ -593,8 +624,7 @@ class MorseBasis:
         z, log_w = _gauss_laguerre(nodes, alpha)
         log_z = np.log(z)
         sign, log_lag = laguerre_signed_log(modes, 2.0 * (self.p - modes), z)
-        log_norm = np.array([_log_norm(self.nu, n) for n in modes.tolist()])
-        rows = sign * np.exp(0.5 * log_w + log_norm[:, None] + (modes[-1] - modes)[:, None] * log_z + log_lag)
+        rows = sign * np.exp(0.5 * log_w + self._log_norms[:, None] + (modes[-1] - modes)[:, None] * log_z + log_lag)
         return _padded(rows, modes, self.k + 1)
 
     def mode_tables(self, quad: QuadratureConfig) -> ModeTables:

@@ -5,9 +5,11 @@ used before it was vectorized or simplified; they are slow but their
 arithmetic is easy to audit.
 """
 
+import json
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -20,13 +22,16 @@ from morsekit import (
     SINGLET,
     Crossing,
     LevelRecord,
+    MixingCoefficients,
     ModeTables,
     MomentReport,
+    MuState,
     OrderedSpectrum,
     OrderingAmbiguityError,
     enumerate_levels,
     level_key,
     log_bg_residual,
+    scaled_energy,
     shifted_energy,
 )
 from morsekit.states import _gauss_laguerre, _log_norm
@@ -287,6 +292,37 @@ def gram_matrix_loop(basis, states):
     return g
 
 
+def mu_states_eager(records, coeffs=None, overrides=None):
+    """build_mu_basis's states by one loop over level records: |n, n>, or the doublet's pair or its override."""
+    coeffs = coeffs or MixingCoefficients.equal_mix()
+    overrides = overrides or {}
+    states = []
+    for i, rec in enumerate(records):
+        if rec.classification == ACCIDENTAL:
+            raise ValueError(
+                f"level {i} with key {rec.key} holds {rec.multiplicity} states; "
+                "a one-state-per-level basis needs a spectrum free of accidental degeneracy"
+            )
+        n, m = rec.members[0]
+        states.append(MuState(i, n, m) if n == m else MuState(i, n, m, overrides.get(i, coeffs)))
+    return tuple(states)
+
+
+def coefficient_matrix_from_states(coefficients, states, dim):
+    """CoherentState.coefficient_matrix read from MuState objects: every level's terms in one np.add.at."""
+    n = np.array([state.n for state in states])
+    m = np.array([state.m for state in states])
+    pairs = [(1.0 + 0.0j, 0.0j) if state.coeffs is None else (state.coeffs.gamma, state.coeffs.delta)
+             for state in states]
+    keep = np.column_stack([np.ones(n.size, dtype=bool), n != m]).ravel()
+    rows = np.column_stack([n, m]).ravel()[keep]
+    cols = np.column_stack([m, n]).ravel()[keep]
+    values = np.array(pairs, dtype=complex).ravel()[keep]
+    c = np.zeros((dim, dim), dtype=complex)
+    np.add.at(c, (rows, cols), np.repeat(coefficients, 2)[keep] * values)
+    return c
+
+
 def coherent_coefficient_matrix_sum(state, dim):
     """sum_n c_n C(mu_n) as one dense (dim x dim) term per level."""
     c = np.zeros((dim, dim), dtype=complex)
@@ -437,7 +473,25 @@ def order_spectrum_float(param):
     else:
         r, q = (param.ratio.numerator, param.ratio.denominator) if param.mode == RATIONAL else (0, 1)
         records.sort(key=lambda rec: -(rec.key.a * q + 2 * r * rec.key.b))
-    return OrderedSpectrum(param, tuple(records), len(records) - 1)
+    return spectrum_from_records(param, records)
+
+
+def spectrum_from_records(param, records):
+    """The OrderedSpectrum whose levels are ``records``, in that order.
+
+    Each level contributes its states with n >= m as keys, its canonical
+    first member first, so the columns hold what ``order_spectrum`` would
+    put there for this level order.
+    """
+    n, m, bounds = [], [], [0]
+    for rec in records:
+        keys = [nm for nm in rec.members if nm[0] >= nm[1]]
+        n += [nm[0] for nm in keys]
+        m += [nm[1] for nm in keys]
+        bounds.append(len(n))
+    n, m = np.array(n, dtype=np.int64), np.array(m, dtype=np.int64)
+    u, v = param.k - n, param.k - m
+    return OrderedSpectrum(param, n, m, u * u + v * v, u + v, np.array(bounds, dtype=np.int64))
 
 
 def density_pgm_loop(field):
@@ -461,3 +515,29 @@ def density_pgm_loop(field):
                 line = token
         lines.append(line)
     return "\n".join(lines) + "\n"
+
+
+def write_spectrum_json_dumps(path, spectrum, only_classification=None):
+    """write_spectrum_json as one json.dumps(indent=1) of the whole document, rows from the records."""
+    param = spectrum.parameter
+    k, eps = param.k, param.epsilon
+    fields = ("index", "n_list", "m_list", "multiplicity", "classification", "a", "b",
+              "shifted_energy", "scaled_energy")
+    levels = []
+    for i, rec in enumerate(spectrum.levels):
+        if only_classification is not None and rec.classification != only_classification:
+            continue
+        row = (i, [n for n, _ in rec.members], [m for _, m in rec.members], rec.multiplicity,
+               rec.classification, rec.key.a, rec.key.b, rec.shifted_energy, scaled_energy(k, eps, *rec.members[0]))
+        levels.append(dict(zip(fields, row)))
+    doc = {
+        "epsilon": param.epsilon,
+        "k": param.k,
+        "levels": levels,
+        "mode": param.mode,
+        "p_text": param.p_text,
+        "xi": spectrum.xi,
+    }
+    if param.ratio is not None:
+        doc["epsilon_ratio"] = [param.ratio.numerator, param.ratio.denominator]
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")

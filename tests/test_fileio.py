@@ -1,19 +1,21 @@
 """File writers on synthetic fields: exact layouts and round-trips."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import density_pgm_loop
+from oracles import density_pgm_loop, write_spectrum_json_dumps
 
-from morsekit import GridSpec, ScalarField2D, decompose, order_spectrum
+from morsekit import GridSpec, ScalarField2D, decompose, order_spectrum, pi_multiple_text
 from morsekit.fileio import (
     write_density_csv,
     write_density_meta,
     write_density_pgm,
     write_spectrum_csv,
+    write_spectrum_json,
     write_sweep_csv,
 )
 
@@ -133,6 +135,44 @@ class TestSpectrumCsv:
             assert cells[7] == repr(rec.shifted_energy)
         accidental = next(l for l in lines if ",accidental," in l)
         assert accidental.split(",")[1].count(";") >= 2
+
+
+class TestSpectrumJson:
+    """The per-level template writes the bytes of one json.dumps(indent=1) of the whole document."""
+
+    @staticmethod
+    def _assert_matches_dumps(tmp_path, spectrum, only):
+        write_spectrum_json(tmp_path / "template.json", spectrum, only)
+        write_spectrum_json_dumps(tmp_path / "dumps.json", spectrum, only)
+        assert (tmp_path / "template.json").read_bytes() == (tmp_path / "dumps.json").read_bytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(min_value=0, max_value=40),
+        mode=st.sampled_from(["integer", "rational", "irrational"]),
+        eps=st.fractions(min_value=Fraction(1, 40), max_value=Fraction(39, 40), max_denominator=40),
+        only=st.sampled_from([None, "singlet", "doublet", "accidental"]),
+    )
+    def test_property_matches_dumps(self, tmp_path_factory, k, mode, eps, only):
+        if mode == "integer":
+            param = decompose(str(max(k, 1)), mode)
+        elif mode == "rational":
+            param = decompose(repr(k + float(eps)), mode, eps)
+        else:
+            param = decompose(f"{k}.{eps.numerator * 10**9 // eps.denominator + 1:09d}", mode)
+        self._assert_matches_dumps(tmp_path_factory.mktemp("json"), order_spectrum(param), only)
+
+    @pytest.mark.parametrize("text, mode", [("3pi", "irrational"), ("0.5", "rational"), ("28", "integer")])
+    @pytest.mark.parametrize("only", [None, "singlet", "doublet", "accidental"])
+    def test_grid_matches_dumps(self, tmp_path, text, mode, only):
+        if text == "3pi":
+            text = pi_multiple_text(3.0)
+        self._assert_matches_dumps(tmp_path, order_spectrum(decompose(text, mode)), only)
+
+    def test_empty_selection(self, tmp_path):
+        path = tmp_path / "spectrum.json"
+        write_spectrum_json(path, order_spectrum(decompose("9.3717", "irrational")), "accidental")
+        assert '\n "levels": [],\n' in path.read_text()
 
 
 class TestSweepCsv:

@@ -577,6 +577,77 @@ class TestKeysMatchStateLoop:
         self._assert_matches_state_loop(param)
 
 
+def _sum_of_two_squares_quarter(top: int) -> np.ndarray:
+    """r2(a) / 4 = d1(a) - d3(a) for a = 0..top by a divisor sieve (Jacobi; Hardy & Wright, Thm. 278).
+
+    d1 and d3 count the divisors of a that are 1 and 3 mod 4; entry 0 is unused.
+    """
+    quarter = np.zeros(top + 1, dtype=np.int64)
+    for d in range(1, top + 1, 2):
+        quarter[d::d] += 1 if d % 4 == 1 else -1
+    return quarter
+
+
+class TestCensusByTwoSquares:
+    """Multiplicities from lattice-point counts, which share no code or keys with ``spectrum``.
+
+    A level of p = k (eps = 0) has energy -a with a = u^2 + v^2, u = k - n and
+    v = k - m in 0..k.  For 0 < a <= k^2 the box [0, k]^2 holds every
+    representation, so the level has r2(a)/4 + [a is a square] states.  At
+    p = k + 1/2 the level value is a + b, and (2u + 1)^2 + (2v + 1)^2 =
+    4(a + b) + 2 = M, whose representations all use two odd squares; for
+    M <= (2k + 1)^2 + 1 the level has r2(M)/4 states.  Levels above those
+    bounds, where the box cuts the circle, are left to the state loop of
+    ``TestKeysMatchStateLoop``.  A level is accidental exactly where the
+    count exceeds the natural singlet or swap pair, 2.
+    """
+
+    @staticmethod
+    def _assert_census(spectrum, value, expected, top):
+        # value(rec) -> the number whose count is expected[...]; every counted number is a level
+        seen = {}
+        for rec in spectrum.levels:
+            v = value(rec)
+            if 0 < v <= top:
+                seen[v] = rec
+                assert rec.multiplicity == expected[v], (rec, expected[v])
+                assert (rec.classification == ACCIDENTAL) == (expected[v] > 2)
+        assert sorted(seen) == (np.flatnonzero(expected[1:] > 0) + 1).tolist()
+
+    @pytest.mark.parametrize("k", [28, 100])
+    def test_integer_well(self, k):
+        top = k * k
+        quarter = _sum_of_two_squares_quarter(top)
+        squares = np.zeros(top + 1, dtype=np.int64)
+        squares[np.arange(1, k + 1) ** 2] = 1
+        spectrum = order_spectrum(decompose(str(k), INTEGER))
+        self._assert_census(spectrum, lambda rec: rec.key.a, quarter + squares, top)
+
+    @pytest.mark.parametrize("k", [30, 100])
+    def test_half_integer_well(self, k):
+        top = (2 * k + 1) ** 2 + 1
+        quarter = _sum_of_two_squares_quarter(top)
+        # only M = 2 mod 4 are level values; the others count no level
+        quarter[np.arange(top + 1) % 4 != 2] = 0
+        spectrum = order_spectrum(decompose(f"{k}.5", RATIONAL))
+        self._assert_census(spectrum, lambda rec: 4 * (rec.key.a + rec.key.b) + 2, quarter, top)
+
+    @pytest.mark.parametrize("k", [10, 20, 40])
+    def test_no_accidental_level_past_the_rational_bound(self, k):
+        # keys tie only if D da = -2 N db; gcd(D, 2N) = gcd(D, 2), so D' = D / gcd(D, 2)
+        # divides db, and |db| <= 2k: D' > 2k leaves every key its own level
+        for den in range(2 * k + 1, 4 * k + 6):
+            if den // math.gcd(den, 2) <= 2 * k:
+                continue
+            for num in sorted({1, den // 3, den - 1}):
+                if math.gcd(num, den) != 1:
+                    continue
+                eps = Fraction(num, den)
+                spectrum = order_spectrum(decompose(repr(k + float(eps)), RATIONAL, eps))
+                assert count_summary(spectrum.levels).accidental == 0
+                assert len(spectrum.levels) == (k + 1) * (k + 2) // 2
+
+
 class TestCrossingReport:
     def test_single_crossing_at_half(self):
         crossings = crossing_report(3, 0.5, tol=1e-6)

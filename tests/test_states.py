@@ -120,6 +120,23 @@ class TestModeValues:
             basis.mode_values(9, 0.0)
         assert basis.bound_modes() == list(range(9))
 
+    def test_log_norms_are_computed_once_per_well(self, monkeypatch):
+        calls = []
+        original = states._log_norm
+        monkeypatch.setattr(states, "_log_norm", lambda nu, n: calls.append(n) or original(nu, n))
+        param = decompose("24.3717", "irrational")
+        basis = MorseBasis(param)
+        mu = build_mu_basis(order_spectrum(param))
+        state = coherent_coefficients(1.5, ladder_f(mu.spectrum), mu)
+        density_grid(basis, state, GridSpec(-1.0, 6.0, -1.0, 6.0, 20, 20))
+        basis.overlap_table()
+        basis.support_box()
+        basis.mode_values(3, 0.5)
+        assert calls == basis.bound_modes()
+        # the cached values are _log_norm's own, bit for bit
+        for n in basis.bound_modes():
+            assert basis.log_norm_1d(n) == 0.5 * math.log(basis.beta) + original(basis.nu, n)
+
     def test_derivative_matches_finite_difference(self, small_basis):
         h = 1e-6
         xs = np.array([-0.4, 0.3, 1.7, 4.0])
