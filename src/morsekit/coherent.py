@@ -83,9 +83,26 @@ class LadderSpectrum:
 
 
 def ladder_f(spectrum: OrderedSpectrum) -> LadderSpectrum:
-    """Gap ladder of an ordered spectrum: f(i) = e_i - e_0 on the shifted energies."""
+    """Gap ladder of an ordered spectrum: f(i) = e_i - e_0 on the shifted energies.
+
+    Two levels in a strict exact order can still get strengths that do not
+    increase as doubles when epsilon lies within double rounding of their
+    crossing point.  The first such pair raises ValueError naming both
+    levels, their keys and the crossing point.
+    """
     energies = spectrum.shifted_energies()
-    return LadderSpectrum.from_strengths(energies - energies[0])
+    f = energies - energies[0]
+    stuck = np.flatnonzero(~(np.diff(f) > 0.0))
+    if stuck.size:
+        i = int(stuck[0])
+        (a, b), (a2, b2) = ((int(spectrum.a[j]), int(spectrum.b[j])) for j in spectrum.bounds[[i, i + 1]])
+        low, high = f[i : i + 2].tolist()
+        raise ValueError(
+            f"levels mu_{i} and mu_{i + 1}, keys (a, b) = ({a}, {b}) and ({a2}, {b2}), have ladder "
+            f"strengths {low!r} and {high!r}, not increasing in double precision: the keys cross "
+            f"at epsilon = {Fraction(a2 - a, 2 * (b - b2))}, within double rounding of p = {spectrum.parameter.p_text}"
+        )
+    return LadderSpectrum.from_strengths(f)
 
 
 @dataclass(frozen=True)
@@ -324,11 +341,17 @@ def moments(basis: MorseBasis, state, axis: str = "x", quad: QuadratureConfig | 
     QuadratureAccuracyError.  The refined report is returned.  All
     expectations are normalized by the quadrature norm of the state, so tiny
     normalization drift cancels.
+
+    The tables are built only up to the state's top mode (see
+    ``MorseBasis._mode_tables``): the zero rows above it meet the exact
+    zeros of the state's coefficients, so the report is the one the full
+    tables give, bit for bit.
     """
     quad = quad or QuadratureConfig()
-    c, _ = _expand(basis, state)
-    coarse = _axis_expectations(c, basis.mode_tables(quad), axis)
-    fine = _axis_expectations(c, basis.mode_tables(quad.refined()), axis)
+    c, used = _expand(basis, state)
+    top = max(used, default=0)
+    coarse = _axis_expectations(c, basis._mode_tables(quad, top), axis)
+    fine = _axis_expectations(c, basis._mode_tables(quad.refined(), top), axis)
     for name in ("mean_q", "mean_q2", "mean_p", "mean_p2"):
         a, b = getattr(coarse, name), getattr(fine, name)
         delta, limit = abs(a - b), _MOMENT_TOL * max(1.0, abs(b))
@@ -352,13 +375,17 @@ class SweepPoint:
 def uncertainty_sweep(basis: MorseBasis, mu_basis: MuBasis, psi_values=None) -> list[SweepPoint]:
     """Moment reports, on the default rule of ``moments``, for a range of coherent-state amplitudes.
 
-    The default sweep covers |Psi| = 0.1 .. 5.0 in steps of 0.1.  Mode
-    tables are cached on the basis, so the cost per point is a handful of
-    small matrix contractions.
+    The default sweep covers |Psi| = 0.1 .. 5.0 in steps of 0.1.  The full
+    mode tables of both rules are built once, before the first point, and
+    cached on the basis, so the cost per point is a handful of small matrix
+    contractions.
     """
     if psi_values is None:
         psi_values = np.round(np.arange(1, 51) * 0.1, 10)
     ladder = ladder_f(mu_basis.spectrum)
+    quad = QuadratureConfig()
+    basis.mode_tables(quad)
+    basis.mode_tables(quad.refined())
     points = []
     for psi in psi_values:
         state = coherent_coefficients(psi, ladder, mu_basis)

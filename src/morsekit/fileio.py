@@ -40,17 +40,14 @@ def _complex_fields(value: complex) -> dict:
 
 
 def _cell(value) -> str:
-    if isinstance(value, list):
-        return ";".join(map(str, value))
     if isinstance(value, float):
         return repr(float(value))
     return str(value)
 
 
-def _write_csv(path, header, rows) -> None:
-    """Header line, then one line per row: list cells join with ';', floats are repr'd."""
-    lines = [",".join(header), *(",".join(map(_cell, row)) for row in rows)]
-    Path(path).write_text("\n".join(lines) + "\n")
+def _write_csv(path, header, lines) -> None:
+    """Header line, then one line per row, each already formatted."""
+    Path(path).write_text("\n".join([",".join(header), *lines]) + "\n")
 
 
 _LEVEL_FIELDS = ("index", "n_list", "m_list", "multiplicity", "classification", "a", "b",
@@ -69,9 +66,17 @@ def _level_rows(spectrum: OrderedSpectrum, only_classification: str | None = Non
         yield (i, [n for n, _ in members], [m for _, m in members], len(members), label, a, b, energy, scaled_i)
 
 
+def _level_csv(index, n_list, m_list, multiplicity, classification, a, b, shifted, scaled) -> str:
+    """One level as a CSV line: ints with ``str``, floats with ``float.__repr__``, lists joined with ';'."""
+    return (
+        f"{index},{';'.join(map(str, n_list))},{';'.join(map(str, m_list))},{multiplicity},"
+        f"{classification},{a},{b},{shifted!r},{scaled!r}"
+    )
+
+
 def write_spectrum_csv(path, spectrum: OrderedSpectrum, only_classification: str | None = None) -> None:
     """Level table, one row per mu index; optionally filtered by classification."""
-    _write_csv(path, _LEVEL_FIELDS, _level_rows(spectrum, only_classification))
+    _write_csv(path, _LEVEL_FIELDS, (_level_csv(*row) for row in _level_rows(spectrum, only_classification)))
 
 
 _JSON_LABELS = {label: json.dumps(label) for label in (SINGLET, DOUBLET, ACCIDENTAL)}
@@ -194,7 +199,7 @@ def write_sweep_csv(path, points: list[SweepPoint]) -> None:
     """Uncertainty sweep table: one x row and one y row per amplitude."""
     rows = ([_fmt_psi(point.psi), report.mode, report.var_q, report.var_p, report.product]
             for point in points for report in (point.x, point.y))
-    _write_csv(path, ("psi", "mode", "var_q", "var_p", "product"), rows)
+    _write_csv(path, ("psi", "mode", "var_q", "var_p", "product"), (",".join(map(_cell, row)) for row in rows))
 
 
 def write_coherent_json(path, state: CoherentState, bg_residual_value: float) -> None:

@@ -553,6 +553,11 @@ class Crossing:
     epsilon_exact: Fraction
 
 
+def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The ranges first[i] .. first[i] + count[i] - 1, concatenated."""
+    return np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
+
+
 def crossing_report(k: int, epsilon: float, tol: float) -> list[Crossing]:
     """Key pairs whose order is not settled at distance tol around epsilon.
 
@@ -562,12 +567,20 @@ def crossing_report(k: int, epsilon: float, tol: float) -> list[Crossing]:
     never cross and are skipped.
 
     The L = (k+1)(k+2)/2 keys are grouped by slope b with a sorted inside
-    each group.  For each slope, every key of a smaller slope looks up the
-    integer a-window of that group that can hold its partners, widened by
-    one on each side, and only those candidates are tested with the float
-    predicate above.  The window never decides a hit, so the result is the
-    one an all-pairs scan gives.  Time O(k L log L); memory O(L + reported
-    crossings), never the O(L^2) pair product.
+    each group.  The predicate sees a pair only through (delta_a, delta_b),
+    so a slope gap d = -delta_b can hold a crossing only if it holds for the
+    integer delta_a nearest 2 eps d: that one minimizes the exact
+    |delta_a - 2 eps d|, and rounding, monotone and odd, keeps it smallest
+    after rounding too.  The gaps 1 .. 2k are tested that way at once, with
+    the predicate as written.  For each slope, every key of a smaller slope
+    at a live gap looks up the integer a-window of that group that can hold
+    its partners, widened by one on each side, and only those candidates are
+    tested with the predicate.  Neither the gap test nor the window decides
+    a hit, so the result is the one an all-pairs scan gives.  Time
+    O(L log L) plus one range search per key at a live gap, which near an
+    irrational eps is a handful of gaps and at eps = 1/2 every gap (O(k L
+    log L)); memory O(L + reported crossings), never the O(L^2) pair
+    product.
     """
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
         raise ValueError(f"k must be a non-negative integer, got {k!r}")
@@ -583,17 +596,25 @@ def crossing_report(k: int, epsilon: float, tol: float) -> list[Crossing]:
     a_int, b_int = a_int[order], b_int[order]
     a, b = a_int.astype(float), b_int.astype(float)
     bounds = np.searchsorted(b_int, np.arange(2 * k + 2))
+    # the predicate at each gap's best delta_a; db = -gap as the pairs have it
+    db = -np.arange(1.0, 2 * k + 1)
+    live = np.abs(np.rint(-2.0 * epsilon * db) + 2.0 * epsilon * db) < 2.0 * tol * np.abs(db)
+    gaps = np.flatnonzero(live) + 1
     pick_i, pick_j = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
     for slope in range(1, 2 * k + 1):
         lo, hi = bounds[slope], bounds[slope + 1]
+        # the keys of the smaller slopes at a live gap, ascending
+        sources = slope - gaps[gaps <= slope][::-1]
+        if not sources.size:
+            continue
+        src = _ranges(bounds[sources], bounds[sources + 1] - bounds[sources])
         # partners of key p in this group have a within 2 tol |db| of the centre
-        db = b[:lo] - slope
-        centre = a[:lo] + 2.0 * epsilon * db
+        db = b[src] - slope
+        centre = a[src] + 2.0 * epsilon * db
         half = 2.0 * tol * np.abs(db)
         first = lo + np.searchsorted(a[lo:hi], np.floor(centre - half) - 1.0, "left")
         count = lo + np.searchsorted(a[lo:hi], np.ceil(centre + half) + 1.0, "right") - first
-        p = np.repeat(np.arange(lo), count)
-        q = np.arange(p.size) + np.repeat(first - (np.cumsum(count) - count), count)
+        p, q = np.repeat(src, count), _ranges(first, count)
         # the predicate and -da/(2 db) are exact under swapping p and q
         da, db = a[p] - a[q], b[p] - b[q]
         hit = np.abs(da + 2.0 * epsilon * db) < 2.0 * tol * np.abs(db)
@@ -601,11 +622,15 @@ def crossing_report(k: int, epsilon: float, tol: float) -> list[Crossing]:
         pick_j.append(q[hit])
     p, q = np.concatenate(pick_i), np.concatenate(pick_j)
     cross = -(a[p] - a[q]) / (2.0 * (b[p] - b[q]))
-    out = []
-    for ap, bp, aq, bq, at in zip(
-        a_int[p].tolist(), b_int[p].tolist(), a_int[q].tolist(), b_int[q].tolist(), cross.tolist()
-    ):
-        key_i, key_j = sorted((LevelKey(ap, bp), LevelKey(aq, bq)))
-        out.append(Crossing(key_i, key_j, at, Fraction(aq - ap, 2 * (bp - bq))))
-    out.sort(key=lambda c: (c.epsilon_cross, c.key_i, c.key_j))
-    return out
+    # key_i is the smaller key of a pair by (a, b); the keys of a pair differ
+    swap = (a_int[q] < a_int[p]) | ((a_int[q] == a_int[p]) & (b_int[q] < b_int[p]))
+    i, j = np.where(swap, q, p), np.where(swap, p, q)
+    # sorted by (epsilon_cross, key_i, key_j), which no two pairs share
+    order = np.lexsort((b_int[j], a_int[j], b_int[i], a_int[i], cross))
+    i, j = i[order], j[order]
+    return [
+        Crossing(LevelKey(ai, bi), LevelKey(aj, bj), at, Fraction(aj - ai, 2 * (bi - bj)))
+        for ai, bi, aj, bj, at in zip(
+            a_int[i].tolist(), b_int[i].tolist(), a_int[j].tolist(), b_int[j].tolist(), cross[order].tolist()
+        )
+    ]

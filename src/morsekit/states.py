@@ -629,15 +629,29 @@ class MorseBasis:
 
     def mode_tables(self, quad: QuadratureConfig) -> ModeTables:
         """All 1D matrices needed for moments on the support box, cached per rule."""
+        return self._mode_tables(quad, self.bound_modes()[-1])
+
+    def _mode_tables(self, quad: QuadratureConfig, top: int) -> ModeTables:
+        """``mode_tables`` with the rows of the modes above ``top`` left zero.
+
+        The tables keep their (k+1) x (k+1) shape, and each mode row is the
+        full build's bit for bit (a row of the recurrence's row form equals
+        its single-row call), so every entry between modes 0..top is the
+        full table's.  The cache of a rule remembers the top it was built
+        to; a call that needs a higher one rebuilds it in full.
+        """
         key = (quad.points_per_axis, quad.panels)
         if key in self._tables:
-            return self._tables[key]
+            built, tables = self._tables[key]
+            if built >= top:
+                return tables
+            top = self.bound_modes()[-1]
         box = self.support_box()
         # polynomial oscillation lives at z > e^-3; beyond that the density
         # is a bare exponential tail that a couple of wide panels capture.
         split = (math.log(self.nu) + 3.0) / self.beta
         x, w = quad.nodes(box[0], box[1], split=split)
-        modes = self.bound_modes()
+        modes = self.bound_modes()[: top + 1]
         dim = self.k + 1
         f, df = (_padded(rows, modes, dim) for rows in self._rows(modes, x, derivative=True))
         fw = f * w
@@ -652,7 +666,7 @@ class MorseBasis:
             momentum=hbar * (fw @ df.T),
             momentum_sq=hbar * hbar * (dfw @ df.T),
         )
-        self._tables[key] = tables
+        self._tables[key] = (top, tables)
         return tables
 
 

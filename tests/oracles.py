@@ -21,11 +21,14 @@ from morsekit import (
     RATIONAL,
     SINGLET,
     Crossing,
+    LevelKey,
     LevelRecord,
     MixingCoefficients,
     ModeTables,
     MomentReport,
     MuState,
+    QuadratureAccuracyError,
+    QuadratureConfig,
     OrderedSpectrum,
     OrderingAmbiguityError,
     enumerate_levels,
@@ -34,7 +37,8 @@ from morsekit import (
     scaled_energy,
     shifted_energy,
 )
-from morsekit.states import _gauss_laguerre, _log_norm
+from morsekit.coherent import _axis_expectations
+from morsekit.states import _expand, _gauss_laguerre, _log_norm
 
 # Adjacent float energies closer than this many ulps are re-compared exactly.
 _ULP_WINDOW = 8
@@ -413,6 +417,57 @@ def crossing_report_pairs(k, epsilon, tol):
     return out
 
 
+def crossing_report_slopes(k, epsilon, tol):
+    """crossing_report with every key range-searched against every group of a higher slope, no gap filter."""
+    n, m = np.tril_indices(k + 1)
+    a_int, b_int = (k - n) ** 2 + (k - m) ** 2, 2 * k - n - m
+    order = np.lexsort((a_int, b_int))
+    a_int, b_int = a_int[order], b_int[order]
+    a, b = a_int.astype(float), b_int.astype(float)
+    bounds = np.searchsorted(b_int, np.arange(2 * k + 2))
+    pick_i, pick_j = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    for slope in range(1, 2 * k + 1):
+        lo, hi = bounds[slope], bounds[slope + 1]
+        db = b[:lo] - slope
+        centre = a[:lo] + 2.0 * epsilon * db
+        half = 2.0 * tol * np.abs(db)
+        first = lo + np.searchsorted(a[lo:hi], np.floor(centre - half) - 1.0, "left")
+        count = lo + np.searchsorted(a[lo:hi], np.ceil(centre + half) + 1.0, "right") - first
+        p = np.repeat(np.arange(lo), count)
+        q = np.arange(p.size) + np.repeat(first - (np.cumsum(count) - count), count)
+        da, db = a[p] - a[q], b[p] - b[q]
+        hit = np.abs(da + 2.0 * epsilon * db) < 2.0 * tol * np.abs(db)
+        pick_i.append(p[hit])
+        pick_j.append(q[hit])
+    p, q = np.concatenate(pick_i), np.concatenate(pick_j)
+    cross = -(a[p] - a[q]) / (2.0 * (b[p] - b[q]))
+    out = []
+    for ap, bp, aq, bq, at in zip(
+        a_int[p].tolist(), b_int[p].tolist(), a_int[q].tolist(), b_int[q].tolist(), cross.tolist()
+    ):
+        key_i, key_j = sorted((LevelKey(ap, bp), LevelKey(aq, bq)))
+        out.append(Crossing(key_i, key_j, at, Fraction(aq - ap, 2 * (bp - bq))))
+    out.sort(key=lambda c: (c.epsilon_cross, c.key_i, c.key_j))
+    return out
+
+
+def moments_full_tables(basis, state, axis="x", quad=None):
+    """moments on the public mode_tables of both rules, which hold the rows of every bound mode."""
+    quad = quad or QuadratureConfig()
+    c, _ = _expand(basis, state)
+    coarse = _axis_expectations(c, basis.mode_tables(quad), axis)
+    fine = _axis_expectations(c, basis.mode_tables(quad.refined()), axis)
+    for name in ("mean_q", "mean_q2", "mean_p", "mean_p2"):
+        a, b = getattr(coarse, name), getattr(fine, name)
+        delta, limit = abs(a - b), 1.0e-7 * max(1.0, abs(b))
+        if delta > limit:
+            raise QuadratureAccuracyError(
+                f"{name} along {axis} moved by {delta:.3e} under refinement",
+                quantity=f"{name} along {axis}", delta=delta, tol=limit, rule=quad,
+            )
+    return fine
+
+
 def _within_ulps(x, y, count):
     return abs(x - y) <= count * math.ulp(max(abs(x), abs(y)))
 
@@ -541,3 +596,25 @@ def write_spectrum_json_dumps(path, spectrum, only_classification=None):
     if param.ratio is not None:
         doc["epsilon_ratio"] = [param.ratio.numerator, param.ratio.denominator]
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+
+
+def _csv_cell(value):
+    if isinstance(value, list):
+        return ";".join(map(str, value))
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def write_spectrum_csv_cells(path, spectrum, only_classification=None):
+    """write_spectrum_csv with every cell of the record rows sent through an isinstance dispatch."""
+    param = spectrum.parameter
+    k, eps = param.k, param.epsilon
+    lines = ["index,n_list,m_list,multiplicity,classification,a,b,shifted_energy,scaled_energy"]
+    for i, rec in enumerate(spectrum.levels):
+        if only_classification is not None and rec.classification != only_classification:
+            continue
+        row = (i, [n for n, _ in rec.members], [m for _, m in rec.members], rec.multiplicity,
+               rec.classification, rec.key.a, rec.key.b, rec.shifted_energy, scaled_energy(k, eps, *rec.members[0]))
+        lines.append(",".join(map(_csv_cell, row)))
+    Path(path).write_text("\n".join(lines) + "\n")

@@ -501,6 +501,18 @@ class TestExitCodes:
         assert code == 2
         assert "0..54" in err
 
+    def test_ladder_names_the_crossing_doubles_cannot_resolve(self, tmp_path, capsys):
+        # 1e-31 above the crossing 1/2 of keys (8, 4) and (9, 3): ordered exactly, equal as doubles
+        text = "3.5000000000000000000000000000001"
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "density", "--p", text, "--mode", "irrational", "--psi", "1", "--out", str(out_dir))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: levels mu_3 and mu_4, keys (a, b) = (8, 4) and (9, 3), have ladder strengths 12.0 and 12.0, "
+            f"not increasing in double precision: the keys cross at epsilon = 1/2, within double rounding of p = {text}\n"
+        )
+        assert not out_dir.exists()
+
     def test_ordering_ambiguity_exit_code(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "spectrum", "--p", "3.5", "--mode", "irrational", "--out", str(tmp_path)

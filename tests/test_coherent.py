@@ -18,6 +18,7 @@ from oracles import (
     bg_residual_direct_complex,
     bg_residual_direct_logexp,
     coherent_coefficient_matrix_sum,
+    moments_full_tables,
     residual_complex_mpf,
 )
 from scipy.integrate import quad as scipy_quad
@@ -26,6 +27,7 @@ from scipy.special import logsumexp
 from morsekit import (
     LadderSpectrum,
     MixingCoefficients,
+    ModeTables,
     MorseBasis,
     MuState,
     QuadratureAccuracyError,
@@ -78,6 +80,29 @@ class TestLadder:
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="strictly increasing"):
                     LadderSpectrum.from_strengths(gaps)
+
+    @pytest.mark.parametrize(
+        "text, head, crossing",
+        [
+            # 1e-31 above the crossing 1/2 of (8, 4) and (9, 3): the exact order holds, the doubles tie
+            ("3.5000000000000000000000000000001",
+             "levels mu_3 and mu_4, keys (a, b) = (8, 4) and (9, 3), have ladder strengths 12.0 and 12.0",
+             "1/2"),
+            # 1e-30 below the crossing 13/14, while the double epsilon lies above it: the doubles reverse
+            ("27.9285714285714285714285714285704285714285",
+             "levels mu_94 and mu_95, keys (a, b) = (738, 30) and (725, 37), have ladder strengths "
+             "764.5714285714286 and 764.5714285714284",
+             "13/14"),
+        ],
+    )
+    def test_names_the_crossing_a_double_ladder_cannot_resolve(self, text, head, crossing):
+        spectrum = order_spectrum(decompose(text, "irrational"))
+        with pytest.raises(ValueError) as info:
+            ladder_f(spectrum)
+        assert str(info.value) == (
+            f"{head}, not increasing in double precision: the keys cross at epsilon = {crossing}, "
+            f"within double rounding of p = {text}"
+        )
 
 
 class TestCoefficients:
@@ -462,6 +487,80 @@ class TestMoments:
     def test_rejects_unknown_axis(self, basis_3pi, mu_3pi):
         with pytest.raises(ValueError):
             moments(basis_3pi, mu_3pi.states[0], axis="z")
+
+
+def _report_bits(call):
+    """The four means of a moment report as hex text, or the raised error's type, message and fields."""
+    try:
+        report = call()
+    except QuadratureAccuracyError as exc:
+        return type(exc).__name__, str(exc), exc.quantity, exc.delta, exc.tol, exc.rule
+    return report.mode, *(float(getattr(report, name)).hex() for name in ("mean_q", "mean_q2", "mean_p", "mean_p2"))
+
+
+class TestShortTables:
+    """moments builds the tables up to the state's top mode and returns the full tables' report, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "3pi",
+            "28.3717",
+            "60.3717",
+            # at k >= 100 these states' moments refuse on the refinement check: same quantity, delta and text
+            pytest.param("100.3717", marks=pytest.mark.deep),
+            pytest.param("200.3717", marks=pytest.mark.deep),
+        ],
+    )
+    def test_matches_full_tables(self, text):
+        param = decompose(pi_multiple_text(3.0) if text == "3pi" else text, "irrational")
+        spectrum = order_spectrum(param)
+        mu_basis = build_mu_basis(spectrum, MixingCoefficients.normalized(0.866, 0.5))
+        ladder = ladder_f(spectrum)
+        states = [mu_basis.states[1]] + [coherent_coefficients(psi, ladder, mu_basis) for psi in (0.3, 1.0, 2.0 + 1.5j)]
+        full, tops = MorseBasis(param), []
+        for state in states:
+            basis = MorseBasis(param)
+            for axis in ("x", "y"):
+                assert _report_bits(lambda: moments(basis, state, axis)) == _report_bits(
+                    lambda: moments_full_tables(full, state, axis))
+            tops += [top for top, _ in basis._tables.values()]
+        assert min(tops) < param.k
+
+    def test_short_tables_grow_for_a_larger_state(self):
+        param = decompose("28.3717", "irrational")
+        spectrum = order_spectrum(param)
+        mu_basis = build_mu_basis(spectrum)
+        low = MuState(0, 2, 1, MixingCoefficients.equal_mix())
+        high = coherent_coefficients(2.0, ladder_f(spectrum), mu_basis)
+        basis, full = MorseBasis(param), MorseBasis(param)
+        for state, top in ((low, 2), (high, param.k), (low, param.k)):
+            for axis in ("x", "y"):
+                assert _report_bits(lambda: moments(basis, state, axis)) == _report_bits(
+                    lambda: moments_full_tables(full, state, axis))
+            assert sorted(built for built, _ in basis._tables.values()) == [top, top]
+        # the public call is the full build whatever is cached
+        short = MorseBasis(param)
+        moments(short, low, "x")
+        for quad in (QuadratureConfig(), QuadratureConfig().refined()):
+            tables, expected = short.mode_tables(quad), full.mode_tables(quad)
+            for name in ModeTables.__dataclass_fields__:
+                assert getattr(tables, name).tobytes() == getattr(expected, name).tobytes(), name
+
+    def test_sweep_matches_full_tables(self):
+        param = decompose("28.3717", "irrational")
+        spectrum = order_spectrum(param)
+        mu_basis = build_mu_basis(spectrum, MixingCoefficients.normalized(0.866, 0.5))
+        ladder = ladder_f(spectrum)
+        psis = [0.1, 0.6, 1.7 + 0.4j, 3.0]
+        basis, full = MorseBasis(param), MorseBasis(param)
+        points = uncertainty_sweep(basis, mu_basis, psi_values=psis)
+        # the sweep builds the full tables of both rules before its first point
+        assert [built for built, _ in basis._tables.values()] == [param.k, param.k]
+        for point, psi in zip(points, psis):
+            state = coherent_coefficients(psi, ladder, mu_basis)
+            assert _report_bits(lambda: point.x) == _report_bits(lambda: moments_full_tables(full, state, "x"))
+            assert _report_bits(lambda: point.y) == _report_bits(lambda: moments_full_tables(full, state, "y"))
 
 
 class TestSweep:

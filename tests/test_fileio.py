@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import density_pgm_loop, write_spectrum_json_dumps
+from oracles import density_pgm_loop, write_spectrum_csv_cells, write_spectrum_json_dumps
 
 from morsekit import GridSpec, ScalarField2D, decompose, order_spectrum, pi_multiple_text
 from morsekit.fileio import (
@@ -135,6 +135,35 @@ class TestSpectrumCsv:
             assert cells[7] == repr(rec.shifted_energy)
         accidental = next(l for l in lines if ",accidental," in l)
         assert accidental.split(",")[1].count(";") >= 2
+
+    @staticmethod
+    def _assert_matches_cells(tmp_path, spectrum, only):
+        write_spectrum_csv(tmp_path / "template.csv", spectrum, only)
+        write_spectrum_csv_cells(tmp_path / "cells.csv", spectrum, only)
+        assert (tmp_path / "template.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(min_value=0, max_value=40),
+        mode=st.sampled_from(["integer", "rational", "irrational"]),
+        eps=st.fractions(min_value=Fraction(1, 40), max_value=Fraction(39, 40), max_denominator=40),
+        only=st.sampled_from([None, "singlet", "doublet", "accidental"]),
+    )
+    def test_property_matches_cells(self, tmp_path_factory, k, mode, eps, only):
+        if mode == "integer":
+            param = decompose(str(max(k, 1)), mode)
+        elif mode == "rational":
+            param = decompose(repr(k + float(eps)), mode, eps)
+        else:
+            param = decompose(f"{k}.{eps.numerator * 10**9 // eps.denominator + 1:09d}", mode)
+        self._assert_matches_cells(tmp_path_factory.mktemp("csv"), order_spectrum(param), only)
+
+    @pytest.mark.parametrize("text, mode", [("3pi", "irrational"), ("0.5", "rational"), ("28", "integer")])
+    @pytest.mark.parametrize("only", [None, "singlet", "doublet", "accidental"])
+    def test_grid_matches_cells(self, tmp_path, text, mode, only):
+        if text == "3pi":
+            text = pi_multiple_text(3.0)
+        self._assert_matches_cells(tmp_path, order_spectrum(decompose(text, mode)), only)
 
 
 class TestSpectrumJson:

@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import crossing_report_pairs, enumerate_levels_loop, order_spectrum_float, pi_multiple_text_mpmath
+from oracles import (
+    crossing_report_pairs,
+    crossing_report_slopes,
+    enumerate_levels_loop,
+    order_spectrum_float,
+    pi_multiple_text_mpmath,
+)
 
 from morsekit import spectrum
 from morsekit import (
@@ -736,6 +742,35 @@ class TestCrossingReport:
     )
     def test_property_matches_all_pairs(self, k, eps, tol):
         assert crossing_report(k, eps, tol) == crossing_report_pairs(k, eps, tol)
+
+    # no nearby crossing point, three crossing points, and 1e-7 to either side of 1/2, where every gap crosses
+    _GAP_EPSILONS = [0.3717, 1 / 2, 1 / 3, 3 / 8, 1 / 2 + 1e-7, 1 / 2 - 1e-7]
+
+    # From tol = 1/4 on every gap is live (the best |da - 2 eps d| is at most
+    # 1/2 < 2 tol d), so k = 200 adds nothing there but 75 000 crossings a call.
+    @pytest.mark.parametrize("eps", _GAP_EPSILONS)
+    @pytest.mark.parametrize(
+        "k, tol",
+        [(60, tol) for tol in (1e-9, 1e-6, 1e-3, 0.3)]
+        + [pytest.param(100, tol, marks=pytest.mark.deep) for tol in (1e-9, 1e-6, 1e-3, 0.3)]
+        + [pytest.param(200, tol, marks=pytest.mark.deep) for tol in (1e-9, 1e-6, 1e-3)],
+    )
+    def test_gap_filter_matches_slope_scan(self, k, eps, tol):
+        assert crossing_report(k, eps, tol) == crossing_report_slopes(k, eps, tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(min_value=0, max_value=60),
+        eps=st.one_of(
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+            st.fractions(min_value=Fraction(1, 24), max_value=Fraction(23, 24), max_denominator=24).map(float),
+        ),
+        nudge=st.sampled_from([0.0, 1e-12, -1e-12, 1e-7, -1e-7]),
+        tol=st.floats(min_value=1e-12, max_value=1.0),
+    )
+    def test_property_gap_filter_matches_slope_scan(self, k, eps, nudge, tol):
+        eps = min(max(eps + nudge, 1e-3), 1.0 - 1e-3)
+        assert crossing_report(k, eps, tol) == crossing_report_slopes(k, eps, tol)
 
     def test_deep_well_memory_stays_linear(self):
         # the all-pairs scan would need about 10 GiB here
