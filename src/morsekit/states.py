@@ -11,7 +11,6 @@ representable at all.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -407,14 +406,19 @@ class MorseBasis:
     def bound_modes(self) -> list[int]:
         return [n for n in range(self.k + 1) if self.mode_is_bound(n)]
 
-    def _check_mode(self, n: int) -> None:
+    def _check_mode(self, n: int, level: int | None = None) -> None:
+        """Raise ValueError unless n is a bound mode; ``level`` names the level state that uses it."""
         if not isinstance(n, (int, np.integer)) or not 0 <= n <= self.k:
             raise ValueError(f"mode index must lie in 0..{self.k}, got {n!r}")
         if not self.mode_is_bound(n):
-            raise ValueError(
-                f"mode n = {n} has nu - (2n+1) = {self.nu - (2 * n + 1)!r} <= 0 "
-                "and is not normalizable"
-            )
+            gap = self.nu - (2 * n + 1)
+            text = f"mode n = {n} has nu - (2n+1) = {gap!r} <= 0 and is not normalizable"
+            if gap == 0.0:
+                users = ("the states that use them are counted in the spectrum but have" if level is None
+                         else f"level mu_{level}, which uses one, is counted in the spectrum but has")
+                text += (": at integer p the modes n = k sit at the dissociation threshold (E = 0), "
+                         f"so {users} no normalizable wavefunction")
+            raise ValueError(text)
 
     @functools.cached_property
     def _log_norms(self) -> np.ndarray:
@@ -725,15 +729,24 @@ def _expand(basis: MorseBasis, state) -> tuple[np.ndarray, list[int]]:
     matrix = getattr(state, "coefficient_matrix", None)
     if matrix is None:
         raise TypeError(f"{type(state).__name__} cannot be expanded over the product basis")
+    _check_well(basis, state)
+    c = matrix(basis.k + 1)
+    used = np.nonzero(np.any(c != 0.0, axis=1) | np.any(c != 0.0, axis=0))[0].tolist()
+    _check_modes(basis, used, state)
+    return c, used
+
+
+def _check_well(basis: MorseBasis, state) -> None:
     own = getattr(getattr(state, "basis", None), "parameter", basis.principal)
     if own != basis.principal:
         raise ValueError(f"state was built for p = {own.p_text!r} ({own.mode}), "
                          f"but the basis is p = {basis.principal.p_text!r} ({basis.principal.mode})")
-    c = matrix(basis.k + 1)
-    used = np.nonzero(np.any(c != 0.0, axis=1) | np.any(c != 0.0, axis=0))[0].tolist()
-    for n in used:
-        basis._check_mode(n)
-    return c, used
+
+
+def _check_modes(basis: MorseBasis, modes, state) -> None:
+    level = state.index if isinstance(state, MuState) else None
+    for n in modes:
+        basis._check_mode(n, level)
 
 
 def density_grid(basis: MorseBasis, state, grid: GridSpec | None = None) -> ScalarField2D:
@@ -767,11 +780,16 @@ def overlap(basis: MorseBasis, state_a, state_b, quad: QuadratureConfig | None =
 def gram_matrix(basis: MorseBasis, states, quad: QuadratureConfig | None = None) -> np.ndarray:
     """Matrix of pairwise overlaps <s_i | s_j> on the exact overlap table.
 
-    Each state's nonzero terms sum_p v_p |a_p, b_p> are cut into pairs (a
-    zero-weight term pads an odd count).  The overlaps of all pairs, sum of
-    conj(v_p) v_q S[a_p, a_q] S[b_p, b_q], take four array operations, and
-    each state's rows and columns are then summed.  A level state is one
-    pair, so L level states need O(L^2) memory and no per-pair Python loop.
+    Every state is a sum of swap pairs gamma |n, m> + delta |m, n>
+    (``_swap_pairs``).  With <n, m | n', m'> = S[n, n'] S[m, m'], two pairs
+    overlap by
+
+        (conj(gamma) gamma' + conj(delta) delta') P + (conj(gamma) delta' + conj(delta) gamma') Q,
+
+    P = S[n, n'] S[m, m'] and Q = S[n, m'] S[m, n'], so all pairs take four
+    gathers of S and two (L x 2) @ (2 x L) coefficient products.  A level
+    state is one pair, so a list of them needs no further step; otherwise
+    each state's rows and columns are summed.
 
     S is ``MorseBasis.overlap_table``; level states give max|G - I| below
     1e-10 at k = 45 and 60, eps down to 0.01.  ``quad`` is unused and kept
@@ -779,23 +797,62 @@ def gram_matrix(basis: MorseBasis, states, quad: QuadratureConfig | None = None)
     """
     s = basis.overlap_table()
     states = list(states)
-    rows, cols, vals, owner = [], [], [], []
-    for i, state in enumerate(states):
+    n, m, gamma, delta, starts = [], [], [], [], []
+    for state in states:
+        starts.append(len(n))
+        for column, values in zip((n, m, gamma, delta), _swap_pairs(basis, state)):
+            column += values
+    n, m = (np.array(x, dtype=np.intp) for x in (n, m))
+    gamma, delta = (np.array(x, dtype=complex) for x in (gamma, delta))
+    left = np.conj(np.column_stack([gamma, delta]))
+    # one real L x L table at a time beside g, multiplied in place; S[a][:, b]
+    # gathers L short rows first and is several times faster than S[np.ix_(a, b)]
+    g = left @ np.stack([gamma, delta])
+    overlaps = s[n][:, n]
+    overlaps *= s[m][:, m]
+    g *= overlaps
+    overlaps = s[n][:, m]
+    overlaps *= s[m][:, n]
+    crossed = left @ np.stack([delta, gamma])
+    crossed *= overlaps
+    del overlaps
+    g += crossed
+    del crossed
+    if len(n) == len(states):
+        return g
+    return np.add.reduceat(np.add.reduceat(g, starts, axis=0), starts, axis=1)
+
+
+def _swap_pairs(basis: MorseBasis, state) -> tuple[list, list, list, list]:
+    """A state as lists n, m, gamma, delta of swap pairs gamma |n, m> + delta |m, n>; at least one pair.
+
+    A level state is one pair read from its fields: (n, n, 1, 0) if
+    diagonal, else (n, m, gamma, delta).  A coherent state is one pair per
+    level whose coefficient c_i is nonzero, (n_i, m_i, c_i gamma_i,
+    c_i delta_i) from its basis columns, the products its coefficient
+    matrix holds.  Any other state goes through its coefficient matrix C,
+    one pair per unordered {a, b} with a nonzero entry: gamma = C[a, b],
+    delta = C[b, a], or 0 if a == b.  A state with no term is one zero
+    pair.  The modes used are checked as ``_expand`` checks them.
+    """
+    from .coherent import CoherentState  # coherent imports this module
+
+    if isinstance(state, MuState):
+        _check_modes(basis, (state.m, state.n), state)
+        if state.is_diagonal:
+            return [state.n], [state.n], [1.0 + 0.0j], [0.0j]
+        return [state.n], [state.m], [state.coeffs.gamma], [state.coeffs.delta]
+    if isinstance(state, CoherentState):
+        _check_well(basis, state)
+        mu = state.basis
+        live = np.flatnonzero(state.coefficients)
+        c = state.coefficients[live]
+        n, m, gamma, delta = mu.spectrum.n[live], mu.spectrum.m[live], c * mu.gamma[live], c * mu.delta[live]
+        _check_modes(basis, np.union1d(n, m).tolist(), state)
+    else:
         c, _ = _expand(basis, state)
-        a, b = np.nonzero(c)
-        pad = [0] * (a.size % 2)
-        rows += a.tolist() + pad
-        cols += b.tolist() + pad
-        vals += c[a, b].tolist() + pad
-        owner += [i] * ((a.size + 1) // 2)
-    rows, cols = (np.array(x, dtype=np.intp).reshape(-1, 2) for x in (rows, cols))
-    vals = np.array(vals, dtype=complex).reshape(-1, 2)
-    pair_gram = np.zeros((len(vals), len(vals)), dtype=complex)
-    for p, q in itertools.product(range(2), repeat=2):
-        term = np.multiply.outer(np.conj(vals[:, p]), vals[:, q])
-        term *= s[np.ix_(rows[:, p], rows[:, q])]
-        term *= s[np.ix_(cols[:, p], cols[:, q])]
-        pair_gram += term
-    g = np.zeros((len(states), len(states)), dtype=complex)
-    np.add.at(g, np.ix_(owner, owner), pair_gram)
-    return g
+        n, m = np.nonzero(np.tril((c != 0.0) | (c.T != 0.0)))
+        gamma, delta = c[n, m], np.where(n == m, 0.0j, c[m, n])
+    if not n.size:
+        return [0], [0], [0.0j], [0.0j]
+    return n.tolist(), m.tolist(), gamma.tolist(), delta.tolist()

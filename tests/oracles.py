@@ -5,6 +5,7 @@ used before it was vectorized or simplified; they are slow but their
 arithmetic is easy to audit.
 """
 
+import itertools
 import json
 import math
 from decimal import Decimal, localcontext
@@ -293,6 +294,31 @@ def gram_matrix_loop(basis, states):
     for i, ci in enumerate(mats):
         for j, tj in enumerate(transformed):
             g[i, j] = np.vdot(ci, tj)
+    return g
+
+
+def gram_matrix_pairs(basis, states):
+    """gram_matrix over pairs of nonzero coefficient-matrix entries: four complex outer products, then np.add.at."""
+    s = basis.overlap_table()
+    rows, cols, vals, owner = [], [], [], []
+    for i, state in enumerate(states):
+        c, _ = _expand(basis, state)
+        a, b = np.nonzero(c)
+        pad = [0] * (a.size % 2)
+        rows += a.tolist() + pad
+        cols += b.tolist() + pad
+        vals += c[a, b].tolist() + pad
+        owner += [i] * ((a.size + 1) // 2)
+    rows, cols = (np.array(x, dtype=np.intp).reshape(-1, 2) for x in (rows, cols))
+    vals = np.array(vals, dtype=complex).reshape(-1, 2)
+    pair_gram = np.zeros((len(vals), len(vals)), dtype=complex)
+    for p, q in itertools.product(range(2), repeat=2):
+        term = np.multiply.outer(np.conj(vals[:, p]), vals[:, q])
+        term *= s[np.ix_(rows[:, p], rows[:, q])]
+        term *= s[np.ix_(cols[:, p], cols[:, q])]
+        pair_gram += term
+    g = np.zeros((len(states), len(states)), dtype=complex)
+    np.add.at(g, np.ix_(owner, owner), pair_gram)
     return g
 
 
@@ -618,3 +644,20 @@ def write_spectrum_csv_cells(path, spectrum, only_classification=None):
                rec.classification, rec.key.a, rec.key.b, rec.shifted_energy, scaled_energy(k, eps, *rec.members[0]))
         lines.append(",".join(map(_csv_cell, row)))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_coherent_json_dumps(path, state, bg_residual_value):
+    """write_coherent_json with one scalar abs and one np.angle call per coefficient."""
+    basis = state.basis
+    doc = {
+        "bg_residual": bg_residual_value,
+        "coefficient_magnitudes": [float(abs(c)) for c in state.coefficients],
+        "coefficient_phases": [float(np.angle(c)) for c in state.coefficients],
+        "delta": {"im": basis.coeffs.delta.imag, "re": basis.coeffs.delta.real},
+        "gamma": {"im": basis.coeffs.gamma.imag, "re": basis.coeffs.gamma.real},
+        "log_normalization": state.log_normalization,
+        "p_text": basis.parameter.p_text,
+        "psi": {"im": complex(state.psi).imag, "re": complex(state.psi).real},
+        "xi": state.xi,
+    }
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")

@@ -513,6 +513,24 @@ class TestExitCodes:
         )
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "selector, users",
+        [
+            (("--mu", "14"), "level mu_14, which uses one, is counted in the spectrum but has"),
+            (("--psi", "3"), "the states that use them are counted in the spectrum but have"),
+        ],
+    )
+    def test_threshold_state_refusal_names_its_cause(self, selector, users, tmp_path, capsys):
+        # at p = 4 the census counts the states that use mode n = 4, which sits at E = 0
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "density", "--p", "4", "--mode", "integer", *selector, "--out", str(out_dir))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: mode n = 4 has nu - (2n+1) = 0.0 <= 0 and is not normalizable: at integer p the modes "
+            f"n = k sit at the dissociation threshold (E = 0), so {users} no normalizable wavefunction\n"
+        )
+        assert not out_dir.exists()
+
     def test_ordering_ambiguity_exit_code(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "spectrum", "--p", "3.5", "--mode", "irrational", "--out", str(tmp_path)

@@ -7,10 +7,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import density_pgm_loop, write_spectrum_csv_cells, write_spectrum_json_dumps
+from oracles import density_pgm_loop, write_coherent_json_dumps, write_spectrum_csv_cells, write_spectrum_json_dumps
 
-from morsekit import GridSpec, ScalarField2D, decompose, order_spectrum, pi_multiple_text
+from morsekit import (
+    GridSpec,
+    ScalarField2D,
+    bg_residual,
+    build_mu_basis,
+    coherent_coefficients,
+    decompose,
+    ladder_f,
+    order_spectrum,
+    pi_multiple_text,
+)
 from morsekit.fileio import (
+    write_coherent_json,
     write_density_csv,
     write_density_meta,
     write_density_pgm,
@@ -202,6 +213,35 @@ class TestSpectrumJson:
         path = tmp_path / "spectrum.json"
         write_spectrum_json(path, order_spectrum(decompose("9.3717", "irrational")), "accidental")
         assert '\n "levels": [],\n' in path.read_text()
+
+
+class TestCoherentJson:
+    """The array forms of the magnitudes and phases write the bytes of the per-coefficient writer."""
+
+    @staticmethod
+    def _assert_matches_dumps(tmp_path, state, residual):
+        write_coherent_json(tmp_path / "arrays.json", state, residual)
+        write_coherent_json_dumps(tmp_path / "dumps.json", state, residual)
+        assert (tmp_path / "arrays.json").read_bytes() == (tmp_path / "dumps.json").read_bytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        magnitude=st.floats(min_value=0.0, max_value=20.0),
+        phase=st.floats(min_value=-4.0, max_value=4.0),
+    )
+    def test_property_matches_dumps(self, tmp_path_factory, ladder_3pi, mu_3pi, magnitude, phase):
+        state = coherent_coefficients(magnitude * np.exp(1j * phase), ladder_3pi, mu_3pi)
+        self._assert_matches_dumps(tmp_path_factory.mktemp("coherent"), state, bg_residual(state, ladder_3pi))
+
+    @pytest.mark.parametrize(
+        "text, psi",
+        [(pi_multiple_text(3.0), 0.1), (pi_multiple_text(3.0), 1.5 + 2j), ("60.3717", 5.0), ("400.3717", 2.0)],
+    )
+    def test_grid_matches_dumps(self, tmp_path, text, psi):
+        spectrum = order_spectrum(decompose(text, "irrational"))
+        ladder = ladder_f(spectrum)
+        state = coherent_coefficients(psi, ladder, build_mu_basis(spectrum))
+        self._assert_matches_dumps(tmp_path, state, bg_residual(state, ladder))
 
 
 class TestSweepCsv:

@@ -10,7 +10,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     crossing_report_pairs,
@@ -620,8 +620,7 @@ class TestCensusByTwoSquares:
                 assert (rec.classification == ACCIDENTAL) == (expected[v] > 2)
         assert sorted(seen) == (np.flatnonzero(expected[1:] > 0) + 1).tolist()
 
-    @pytest.mark.parametrize("k", [28, 100])
-    def test_integer_well(self, k):
+    def _check_integer_well(self, k):
         top = k * k
         quarter = _sum_of_two_squares_quarter(top)
         squares = np.zeros(top + 1, dtype=np.int64)
@@ -629,8 +628,7 @@ class TestCensusByTwoSquares:
         spectrum = order_spectrum(decompose(str(k), INTEGER))
         self._assert_census(spectrum, lambda rec: rec.key.a, quarter + squares, top)
 
-    @pytest.mark.parametrize("k", [30, 100])
-    def test_half_integer_well(self, k):
+    def _check_half_integer_well(self, k):
         top = (2 * k + 1) ** 2 + 1
         quarter = _sum_of_two_squares_quarter(top)
         # only M = 2 mod 4 are level values; the others count no level
@@ -638,20 +636,49 @@ class TestCensusByTwoSquares:
         spectrum = order_spectrum(decompose(f"{k}.5", RATIONAL))
         self._assert_census(spectrum, lambda rec: 4 * (rec.key.a + rec.key.b) + 2, quarter, top)
 
-    @pytest.mark.parametrize("k", [10, 20, 40])
-    def test_no_accidental_level_past_the_rational_bound(self, k):
+    @staticmethod
+    def _check_rational_bound(k, eps):
         # keys tie only if D da = -2 N db; gcd(D, 2N) = gcd(D, 2), so D' = D / gcd(D, 2)
         # divides db, and |db| <= 2k: D' > 2k leaves every key its own level
+        spectrum = order_spectrum(decompose(repr(k + float(eps)), RATIONAL, eps))
+        assert count_summary(spectrum.levels).accidental == 0
+        assert len(spectrum.levels) == (k + 1) * (k + 2) // 2
+
+    @pytest.mark.parametrize("k", [28, 100, pytest.param(400, marks=pytest.mark.deep)])
+    def test_integer_well(self, k):
+        self._check_integer_well(k)
+
+    @pytest.mark.parametrize("k", [30, 100, pytest.param(400, marks=pytest.mark.deep)])
+    def test_half_integer_well(self, k):
+        self._check_half_integer_well(k)
+
+    @settings(max_examples=8, deadline=None)
+    @given(k=st.integers(min_value=1, max_value=120), half=st.booleans())
+    def test_property_lattice_count(self, k, half):
+        if half:
+            self._check_half_integer_well(k)
+        else:
+            self._check_integer_well(k)
+
+    @pytest.mark.parametrize("k", [10, 20, 40])
+    def test_no_accidental_level_past_the_rational_bound(self, k):
         for den in range(2 * k + 1, 4 * k + 6):
             if den // math.gcd(den, 2) <= 2 * k:
                 continue
             for num in sorted({1, den // 3, den - 1}):
                 if math.gcd(num, den) != 1:
                     continue
-                eps = Fraction(num, den)
-                spectrum = order_spectrum(decompose(repr(k + float(eps)), RATIONAL, eps))
-                assert count_summary(spectrum.levels).accidental == 0
-                assert len(spectrum.levels) == (k + 1) * (k + 2) // 2
+                self._check_rational_bound(k, Fraction(num, den))
+
+    @settings(max_examples=10, deadline=None)
+    @given(k=st.integers(min_value=0, max_value=120), data=st.data())
+    def test_property_rational_bound(self, k, data):
+        # any D with D' > 2k: D > 2k if odd, D > 4k if even; any N coprime to D
+        den = data.draw(st.integers(min_value=max(2, 2 * k + 1), max_value=8 * k + 8))
+        assume(den // math.gcd(den, 2) > 2 * k)
+        num = data.draw(st.integers(min_value=1, max_value=den - 1))
+        assume(math.gcd(num, den) == 1)
+        self._check_rational_bound(k, Fraction(num, den))
 
 
 class TestCrossingReport:

@@ -1,7 +1,9 @@
 """Wavefunctions, mixing, densities, and quadrature overlaps."""
 
+import cmath
 import math
 import tracemalloc
+import types
 
 import mpmath
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import (
     density_grid_loop,
     gram_matrix_loop,
+    gram_matrix_pairs,
     mode_box_scan,
     mode_derivative_loop,
     mode_tables_loop,
@@ -484,7 +487,7 @@ class TestOverlapTable:
 
 
 class TestGramMatrix:
-    """gram_matrix against the per-pair vdot loop it replaced (tests/oracles.py)."""
+    """gram_matrix against the per-pair vdot loop and the entry-pair form it replaced (tests/oracles.py)."""
 
     @pytest.fixture(scope="class")
     def deep_well(self):
@@ -496,10 +499,12 @@ class TestGramMatrix:
         return MorseBasis(p), mu
 
     @staticmethod
-    def _check(basis, states):
+    def _check(basis, states, loop=True):
         g = gram_matrix(basis, states)
         assert g.shape == (len(states), len(states))
-        assert np.max(np.abs(g - gram_matrix_loop(basis, states))) <= 1e-15
+        assert np.max(np.abs(g - gram_matrix_pairs(basis, states))) <= 1e-15
+        if loop:
+            assert np.max(np.abs(g - gram_matrix_loop(basis, states))) <= 1e-15
         assert np.max(np.abs(g - g.conj().T)) <= 1e-15
         return g
 
@@ -512,6 +517,13 @@ class TestGramMatrix:
         g = self._check(basis, mu.states)
         assert np.max(np.abs(g - np.eye(len(mu.states)))) < 1e-7
 
+    @pytest.mark.parametrize("text", ["9.3717", "45.1717", pytest.param("60.3717", marks=pytest.mark.deep)])
+    def test_level_basis_against_entry_pairs(self, text):
+        param = decompose(text, "irrational")
+        mu = build_mu_basis(order_spectrum(param), MixingCoefficients.normalized(0.6 - 0.2j, 0.3 + 0.7j))
+        g = self._check(MorseBasis(param), mu.states, loop=False)
+        assert np.max(np.abs(g - np.eye(len(mu.states)))) <= 1e-10
+
     def test_mixed_state_types(self, deep_well):
         # the coherent state spans many pairs of terms, which are summed into one row and column
         basis, mu = deep_well
@@ -519,6 +531,60 @@ class TestGramMatrix:
         g = self._check(basis, [mu.states[0], mu.states[4], coherent, mu.states[7]])
         assert g[2, 2] == pytest.approx(1.0, abs=1e-12)
         assert g[1, 2] == pytest.approx(coherent.coefficients[4], abs=1e-12)
+
+    def test_coherent_states_only(self, deep_well):
+        basis, mu = deep_well
+        ladder = ladder_f(mu.spectrum)
+        states = [coherent_coefficients(psi, ladder, mu) for psi in (0.0, 0.4, 2.0 + 1.5j, -3.0j)]
+        g = self._check(basis, states)
+        assert np.max(np.abs(np.diag(g) - 1.0)) <= 1e-12
+
+    def test_object_with_only_a_coefficient_matrix(self, deep_well):
+        # unequal entries at (a, b) and (b, a), one without its partner, a diagonal entry, an empty state
+        basis, mu = deep_well
+        rng = np.random.default_rng(25)
+        matrix = np.zeros((21, 21), dtype=complex)
+        matrix[3, 1], matrix[1, 3], matrix[7, 2], matrix[5, 5], matrix[0, 9] = rng.normal(size=5) + 1j * rng.normal(size=5)
+        matrix /= np.linalg.norm(matrix)
+        custom = types.SimpleNamespace(coefficient_matrix=lambda dim: matrix)
+        empty = types.SimpleNamespace(coefficient_matrix=lambda dim: np.zeros((dim, dim), dtype=complex))
+        g = self._check(basis, [custom, mu.states[2], empty, custom, mu.states[4]])
+        assert not np.any(g[2]) and not np.any(g[:, 2])
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        k=st.integers(min_value=0, max_value=20),
+        eps=st.floats(min_value=0.01, max_value=0.99),
+        gamma=st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+        delta=st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+        psi=st.floats(min_value=0.0, max_value=5.0),
+    )
+    def test_property_against_loop(self, k, eps, gamma, delta, psi):
+        # the trailing digits keep eps off the exact crossings, which irrational mode refuses
+        param = decompose(f"{k}.{round(eps * 10**12):012d}3717", "irrational")
+        spectrum = order_spectrum(param)
+        mu = build_mu_basis(spectrum, MixingCoefficients.normalized(gamma, delta))
+        basis = MorseBasis(param)
+        self._check(basis, mu.states)
+        if np.all(np.diff(spectrum.shifted_energies()) > 0.0):
+            coherent = coherent_coefficients(psi * cmath.exp(0.7j), ladder_f(spectrum), mu)
+            self._check(basis, [coherent, mu.states[-1], coherent])
+
+    def test_threshold_mode_of_an_integer_well_is_refused(self):
+        # p = 4: the census counts |4, 4> (level mu_14), but mode n = 4 sits at E = 0
+        spectrum = order_spectrum(decompose("4", "integer"))
+        mu = build_mu_basis(spectrum)
+        basis = MorseBasis(spectrum.parameter)
+        assert mu.states[14].n == 4
+        with pytest.raises(ValueError, match=r"^mode n = 4 has .* not normalizable: .* level mu_14, which uses one"):
+            gram_matrix(basis, [mu.states[0], mu.states[14]])
+        coherent = coherent_coefficients(3.0, ladder_f(spectrum), mu)
+        with pytest.raises(ValueError, match="dissociation threshold"):
+            gram_matrix(basis, [mu.states[0], coherent])
+
+    def test_object_without_a_coefficient_matrix_is_refused(self, basis_3pi):
+        with pytest.raises(TypeError, match="cannot be expanded"):
+            gram_matrix(basis_3pi, [MuState(0, 0, 0), object()])
 
     def test_empty_state_list(self, basis_3pi):
         g = gram_matrix(basis_3pi, [])
