@@ -413,7 +413,7 @@ class MorseBasis:
         if not self.mode_is_bound(n):
             gap = self.nu - (2 * n + 1)
             text = f"mode n = {n} has nu - (2n+1) = {gap!r} <= 0 and is not normalizable"
-            if gap == 0.0:
+            if self.principal.epsilon_exact == 0:
                 users = ("the states that use them are counted in the spectrum but have" if level is None
                          else f"level mu_{level}, which uses one, is counted in the spectrum but has")
                 text += (": at integer p the modes n = k sit at the dissociation threshold (E = 0), "
@@ -805,8 +805,9 @@ def gram_matrix(basis: MorseBasis, states, quad: QuadratureConfig | None = None)
     n, m = (np.array(x, dtype=np.intp) for x in (n, m))
     gamma, delta = (np.array(x, dtype=complex) for x in (gamma, delta))
     left = np.conj(np.column_stack([gamma, delta]))
-    # one real L x L table at a time beside g, multiplied in place; S[a][:, b]
-    # gathers L short rows first and is several times faster than S[np.ix_(a, b)]
+    # products in place: the peak is g, crossed and one real L x L table,
+    # 40 L^2 bytes; S[a][:, b] gathers L short rows first and is several
+    # times faster than S[np.ix_(a, b)]
     g = left @ np.stack([gamma, delta])
     overlaps = s[n][:, n]
     overlaps *= s[m][:, m]
@@ -827,32 +828,20 @@ def _swap_pairs(basis: MorseBasis, state) -> tuple[list, list, list, list]:
     """A state as lists n, m, gamma, delta of swap pairs gamma |n, m> + delta |m, n>; at least one pair.
 
     A level state is one pair read from its fields: (n, n, 1, 0) if
-    diagonal, else (n, m, gamma, delta).  A coherent state is one pair per
-    level whose coefficient c_i is nonzero, (n_i, m_i, c_i gamma_i,
-    c_i delta_i) from its basis columns, the products its coefficient
-    matrix holds.  Any other state goes through its coefficient matrix C,
-    one pair per unordered {a, b} with a nonzero entry: gamma = C[a, b],
-    delta = C[b, a], or 0 if a == b.  A state with no term is one zero
-    pair.  The modes used are checked as ``_expand`` checks them.
+    diagonal, else (n, m, gamma, delta).  Any other state, a coherent one
+    included, goes through its coefficient matrix C, one pair per unordered
+    {a, b} with a nonzero entry: gamma = C[a, b], delta = C[b, a], or 0 if
+    a == b.  A state with no term is one zero pair.  The modes used are
+    checked as ``_expand`` checks them.
     """
-    from .coherent import CoherentState  # coherent imports this module
-
     if isinstance(state, MuState):
         _check_modes(basis, (state.m, state.n), state)
         if state.is_diagonal:
             return [state.n], [state.n], [1.0 + 0.0j], [0.0j]
         return [state.n], [state.m], [state.coeffs.gamma], [state.coeffs.delta]
-    if isinstance(state, CoherentState):
-        _check_well(basis, state)
-        mu = state.basis
-        live = np.flatnonzero(state.coefficients)
-        c = state.coefficients[live]
-        n, m, gamma, delta = mu.spectrum.n[live], mu.spectrum.m[live], c * mu.gamma[live], c * mu.delta[live]
-        _check_modes(basis, np.union1d(n, m).tolist(), state)
-    else:
-        c, _ = _expand(basis, state)
-        n, m = np.nonzero(np.tril((c != 0.0) | (c.T != 0.0)))
-        gamma, delta = c[n, m], np.where(n == m, 0.0j, c[m, n])
+    c, _ = _expand(basis, state)
+    n, m = np.nonzero(np.tril((c != 0.0) | (c.T != 0.0)))
+    gamma, delta = c[n, m], np.where(n == m, 0.0j, c[m, n])
     if not n.size:
         return [0], [0], [0.0j], [0.0j]
     return n.tolist(), m.tolist(), gamma.tolist(), delta.tolist()

@@ -582,6 +582,13 @@ class TestGramMatrix:
         with pytest.raises(ValueError, match="dissociation threshold"):
             gram_matrix(basis, [mu.states[0], coherent])
 
+    def test_near_integer_p_rounded_to_the_threshold_is_not_called_integer(self):
+        # p = 4 + 1e-31 rounds to 4.0, so mode 4 has a float gap of exactly 0, but p is not an integer
+        basis = MorseBasis(decompose("4.0000000000000000000000000000001", "irrational"))
+        assert basis.nu - 9.0 == 0.0
+        with pytest.raises(ValueError, match=r"^mode n = 4 has nu - \(2n\+1\) = 0\.0 <= 0 and is not normalizable$"):
+            gram_matrix(basis, [MuState(0, 0, 0), MuState(14, 4, 4)])
+
     def test_object_without_a_coefficient_matrix_is_refused(self, basis_3pi):
         with pytest.raises(TypeError, match="cannot be expanded"):
             gram_matrix(basis_3pi, [MuState(0, 0, 0), object()])
