@@ -286,8 +286,7 @@ def _gauss_laguerre(nodes: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     z = np.linalg.eigvalsh(np.diag(2.0 * np.arange(nodes) + alpha + 1.0) + np.diag(off, -1))
     for _ in range(3):
         # z - L_N / L_N' with L_N' = -L_{N-1}^(alpha+1); exact roots stay put
-        sign, log_value = laguerre_signed_log(nodes, alpha, z)
-        slope_sign, log_slope = laguerre_signed_log(nodes - 1, alpha + 1.0, z)
+        (slope_sign, sign), (log_slope, log_value) = laguerre_signed_log([nodes - 1, nodes], [alpha + 1.0, alpha], z)
         live = sign * slope_sign != 0.0
         z = z + sign * slope_sign * np.exp(np.where(live, log_value - log_slope, -np.inf))
     _, log_next = laguerre_signed_log(nodes + 1, alpha, z)
@@ -608,8 +607,7 @@ class MorseBasis:
         if self._overlap is None:
             top = self.bound_modes()[-1]
             nodes, alpha = top + 1, self.nu - 2.0 * top - 2.0
-            rows = self._overlap_rows(nodes, alpha)
-            check = self._overlap_rows(nodes + _CHECK_NODES, alpha)
+            rows, check = self._overlap_rows(alpha, nodes, nodes + _CHECK_NODES)
             s = rows @ rows.T
             delta = float(np.abs(s - check @ check.T).max())
             if delta > _TABLE_TOL:
@@ -621,15 +619,18 @@ class MorseBasis:
             self._overlap = s
         return self._overlap
 
-    def _overlap_rows(self, nodes: int, alpha: float) -> np.ndarray:
+    def _overlap_rows(self, alpha: float, *rules: int) -> list[np.ndarray]:
+        """The table H of each Gauss-Laguerre rule (node count), from one Laguerre pass over all their nodes."""
         # h_n(z_i) = sqrt(w_i) N_n / sqrt(beta) z_i^(K-n) L_n^(2(p-n))(z_i), so that
         # S = H H^T.  Each |h_n(z_i)| <= 1 because sum_i h_n(z_i)^2 = S[n, n].
         modes = np.array(self.bound_modes())
-        z, log_w = _gauss_laguerre(nodes, alpha)
+        parts = [_gauss_laguerre(nodes, alpha) for nodes in rules]
+        z, log_w = (np.concatenate(column) for column in zip(*parts))
         log_z = np.log(z)
         sign, log_lag = laguerre_signed_log(modes, 2.0 * (self.p - modes), z)
         rows = sign * np.exp(0.5 * log_w + self._log_norms[:, None] + (modes[-1] - modes)[:, None] * log_z + log_lag)
-        return _padded(rows, modes, self.k + 1)
+        ends = np.cumsum([part[0].size for part in parts])[:-1]
+        return [_padded(block, modes, self.k + 1) for block in np.split(rows, ends, axis=1)]
 
     def mode_tables(self, quad: QuadratureConfig) -> ModeTables:
         """All 1D matrices needed for moments on the support box, cached per rule."""

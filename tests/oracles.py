@@ -598,6 +598,43 @@ def density_pgm_loop(field):
     return "\n".join(lines) + "\n"
 
 
+def mode_value_mpmath(nu, p, n, x, dps=80):
+    """phi_n(x) = N_n z^(p-n) e^(-z/2) L_n^(2(p-n))(z) with z = nu e^(-x) (beta = 1), at ``dps`` digits.
+
+    N_n = sqrt((nu - 2n - 1) n! / Gamma(nu - n)); ``nu`` and ``p`` are the
+    basis's own doubles, so both sides evaluate the formula on one input.
+    """
+    with mpmath.workdps(dps):
+        nu, p = mpmath.mpf(nu), mpmath.mpf(p)
+        z = nu * mpmath.exp(-mpmath.mpf(x))
+        norm = mpmath.sqrt((nu - 2 * n - 1) * mpmath.factorial(n) / mpmath.gamma(nu - n))
+        return norm * z ** (p - n) * mpmath.exp(-z / 2) * mpmath.laguerre(n, 2 * (p - n), z)
+
+
+def diagonal_mean_x(nu, n, dps=40):
+    """<x> of mode n: ln nu - psi(nu - 2n - 1) + sum_(j<n) 1 / (nu - n - 1 - j) (Vasan & Cross 1983; beta = 1)."""
+    with mpmath.workdps(dps):
+        nu = mpmath.mpf(nu)
+        return mpmath.log(nu) - mpmath.digamma(nu - 2 * n - 1) + mpmath.fsum(1 / (nu - n - 1 - j) for j in range(n))
+
+
+def ground_uncertainty_product(p, dps=40):
+    """var_q var_p of the ground mode, p psi'(2p) / 2: var x = psi'(2p) and <P^2> = p / 2 (hbar = beta = 1)."""
+    with mpmath.workdps(dps):
+        p = mpmath.mpf(p)
+        return p * mpmath.psi(1, 2 * p) / 2
+
+
+def write_density_csv_repr(path, field):
+    """write_density_csv as one f-string per cell, every float through ``repr``, one grid row at a time."""
+    xs = [repr(x) for x in field.spec.x_centers().tolist()]
+    ys = [repr(y) for y in field.spec.y_centers().tolist()]
+    with open(path, "w", newline="\n") as out:
+        out.write("x,y,value\n")
+        for x, row in zip(xs, field.values):
+            out.write("".join(f"{x},{y},{v!r}\n" for y, v in zip(ys, row.tolist())))
+
+
 def write_spectrum_json_dumps(path, spectrum, only_classification=None):
     """write_spectrum_json as one json.dumps(indent=1) of the whole document, rows from the records."""
     param = spectrum.parameter

@@ -1,13 +1,20 @@
 """File writers on synthetic fields: exact layouts and round-trips."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import density_pgm_loop, write_coherent_json_dumps, write_spectrum_csv_cells, write_spectrum_json_dumps
+from oracles import (
+    density_pgm_loop,
+    write_coherent_json_dumps,
+    write_density_csv_repr,
+    write_spectrum_csv_cells,
+    write_spectrum_json_dumps,
+)
 
 from morsekit import (
     GridSpec,
@@ -21,6 +28,7 @@ from morsekit import (
     pi_multiple_text,
 )
 from morsekit.fileio import (
+    _float_text,
     write_coherent_json,
     write_density_csv,
     write_density_meta,
@@ -61,6 +69,52 @@ class TestDensityCsv:
         rows = (tmp_path / "d.csv").read_text().splitlines()[1:]
         parsed = np.array([float(r.split(",")[2]) for r in rows]).reshape(2, 2)
         assert np.array_equal(parsed, values)
+
+
+# the doubles on both sides of repr's switches between positional and exponent form
+_FORM_EDGES = [sign * v for edge in (1e-4, 1e16) for v in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf))
+               for sign in (1.0, -1.0)]
+
+
+def _formatted(values) -> list:
+    text = _float_text(np.array(values, dtype=float))
+    return [row[row != 0].tobytes().decode() for row in text]
+
+
+class TestDensityCsvMatchesRepr:
+    """write_density_csv against the repr loop it replaced (tests/oracles.py), byte for byte."""
+
+    def test_formatter_on_powers_of_two_and_edges(self):
+        values = [math.ldexp(1.0, e) for e in range(-1074, 1024)]
+        values += [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+        values += [1e-5, 1e-4, 9.999999999999999e15, 1e16, 1e17, 0.1, 123.0]
+        assert _formatted(values) == [repr(v) for v in values]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pool=st.lists(st.one_of(st.floats(), st.sampled_from(_FORM_EDGES)), min_size=1, max_size=64),
+        nx=st.integers(min_value=2, max_value=40),
+        ny=st.integers(min_value=2, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        x_min=st.floats(min_value=-1e6, max_value=1e6),
+        width=st.floats(min_value=1e-3, max_value=1e6),
+    )
+    def test_property_matches_repr_loop(self, tmp_path_factory, pool, nx, ny, seed, x_min, width):
+        rng = np.random.default_rng(seed)
+        values = rng.choice(np.array(pool), size=(nx, ny))
+        field = ScalarField2D(GridSpec(x_min, x_min + width, -width, width, nx, ny), values)
+        folder = tmp_path_factory.mktemp("csv")
+        write_density_csv(folder / "new.csv", field)
+        write_density_csv_repr(folder / "old.csv", field)
+        assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()
+
+    def test_blocks_join_on_random_bit_patterns(self, tmp_path):
+        # 4900 cells span two blocks; the bit patterns reach every exponent, sign and NaN payload
+        bits = np.random.default_rng(7).integers(0, 2**64, size=(70, 70), dtype=np.uint64)
+        field = ScalarField2D(GridSpec(-3.0, 40.0, -3.0, 40.0, 70, 70), bits.view(float))
+        write_density_csv(tmp_path / "new.csv", field)
+        write_density_csv_repr(tmp_path / "old.csv", field)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestDensityPgm:
