@@ -11,6 +11,7 @@ independent cross-check.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal, getcontext, localcontext
@@ -215,18 +216,30 @@ def bg_residual(state: CoherentState, ladder: LadderSpectrum) -> float:
     return math.exp(log_bg_residual(state, ladder))
 
 
+@functools.lru_cache(maxsize=128)
+def _hundred_power(q: int) -> int:
+    return 10 ** (2 * q)
+
+
 def _root(value) -> Decimal:
     """Square root of ``value`` (float, Fraction or Decimal) correctly rounded to the context precision.
 
     With value = m/e exactly, s = isqrt(m 10^(2q) // e) is the root's floor at
     q places; q leaves s at least one digit beyond the precision, and an
     appended sticky digit (1 when s^2 e != m 10^(2q)) marks a nonzero rest.
+    A power-of-two e, as every float has, divides and multiplies by shifts.
     """
     m, e = value.as_integer_ratio()
     q = getcontext().prec + 2 + max(0, e.bit_length() - m.bit_length()) // 3
-    scaled = m * 10 ** (2 * q)
-    s = math.isqrt(scaled // e)
-    return (+Decimal(10 * s + (s * s * e != scaled))).scaleb(-(q + 1))
+    scaled = m * _hundred_power(q)
+    if e & (e - 1):
+        s = math.isqrt(scaled // e)
+        rest = s * s * e != scaled
+    else:
+        shift = e.bit_length() - 1
+        s = math.isqrt(scaled >> shift)
+        rest = s * s << shift != scaled
+    return (+Decimal(10 * s + rest)).scaleb(-(q + 1))
 
 
 def bg_residual_direct(state: CoherentState, ladder: LadderSpectrum) -> float:

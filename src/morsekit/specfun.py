@@ -117,8 +117,12 @@ def log_gamma(x):
 
     A pure-Python port of the cephes ``lgam`` kernel restricted to the
     positive axis, where the result is real and the bound-state formulas
-    live.
+    live.  A Python int or float skips the numpy round trip.
     """
+    if isinstance(x, (int, float)):
+        if not x > 0.0:
+            raise ValueError("log_gamma requires strictly positive arguments")
+        return _lgam(float(x))
     arr, scalar = _prepare(x)
     if np.any(~(arr > 0.0)):
         raise ValueError("log_gamma requires strictly positive arguments")

@@ -347,6 +347,11 @@ def _canonical(nm: tuple[int, int]) -> tuple[int, int]:
     return -(nm[0] - nm[1]), nm[0]
 
 
+def _members(states) -> tuple[tuple[int, int], ...]:
+    """A merged level's members: each of its keys' states (n, m) and the swap (m, n), in canonical order."""
+    return tuple(sorted({q for nm in states for q in (nm, nm[::-1])}, key=_canonical))
+
+
 def enumerate_levels(param: PrincipalParameter) -> "LevelSequence":
     """Exact degenerate levels of all (k+1)^2 bound states, built from the L = (k+1)(k+2)/2 keys.
 
@@ -494,9 +499,7 @@ class OrderedSpectrum:
         for lo, hi, energy in zip(bounds, bounds[1:], self._energies[start:stop].tolist()):
             j = lo - first
             if hi - lo > 1:
-                states = zip(n[j : hi - first], m[j : hi - first])
-                members = tuple(sorted({q for nm in states for q in (nm, nm[::-1])}, key=_canonical))
-                yield members, ACCIDENTAL, a[j], b[j], energy
+                yield _members(zip(n[j : hi - first], m[j : hi - first])), ACCIDENTAL, a[j], b[j], energy
             elif n[j] == m[j]:
                 yield ((n[j], n[j]),), SINGLET, a[j], b[j], energy
             else:

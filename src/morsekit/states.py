@@ -47,6 +47,11 @@ __all__ = [
 # The overlap table may move by at most _TABLE_TOL when _CHECK_NODES nodes are added.
 _TABLE_TOL, _CHECK_NODES = 1.0e-7, 8
 
+# Elements per row block of the Gram product: each block's gathers and
+# coefficient products hold at most this many doubles, so the product needs
+# little memory beyond its complex result.
+_GRAM_BLOCK = 2**16
+
 # 1D density below this fraction of its peak counts as outside the support.
 _SUPPORT_CUT = 1.0e-14
 
@@ -271,27 +276,42 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _gauss_laguerre(nodes: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes z_i and log weights ln w_i of the rule for z^alpha e^(-z) on (0, inf).
+def _gauss_laguerre_rules(counts, alpha: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Nodes z_i and log weights ln w_i of the rules for z^alpha e^(-z) on (0, inf), one per node count.
 
-    The rule is exact for polynomials of degree below 2 * nodes.  Nodes are
-    the eigenvalues of the Jacobi matrix (Golub & Welsch, Math. Comp. 23,
-    1969), polished by three Newton steps on L_N^alpha.  The weights
-    w_i = Gamma(N+alpha+1) z_i / (N! (N+1)^2 L_{N+1}^alpha(z_i)^2) are kept as
-    logs because they underflow far out in the tail.
+    ``counts`` is ascending.  A rule with N nodes is exact for polynomials of
+    degree below 2N.  Each rule's nodes start as the eigenvalues of its
+    Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969).  Both rules are then
+    polished in one pass: each of three Newton steps on L_N^alpha, and the
+    weights w_i = Gamma(N+alpha+1) z_i / (N! (N+1)^2 L_{N+1}^alpha(z_i)^2),
+    take one row-form Laguerre call over every rule's nodes, and a node reads
+    its own rule's rows, so each value is the one a call per rule gives, bit
+    for bit.  The weights are kept as logs because they underflow far out in
+    the tail.
     """
-    j = np.arange(1, nodes)
-    off = np.sqrt(j * (j + alpha))
-    # eigvalsh reads only the lower triangle of the symmetric tridiagonal matrix
-    z = np.linalg.eigvalsh(np.diag(2.0 * np.arange(nodes) + alpha + 1.0) + np.diag(off, -1))
+    start = []
+    for nodes in counts:
+        j = np.arange(1, nodes)
+        # eigvalsh reads only the lower triangle of the symmetric tridiagonal matrix
+        jacobi = np.diag(2.0 * np.arange(nodes) + alpha + 1.0) + np.diag(np.sqrt(j * (j + alpha)), -1)
+        start.append(np.linalg.eigvalsh(jacobi))
+    z = np.concatenate(start)
+    rule = np.repeat(np.arange(len(counts)), counts)
+    node = np.arange(z.size)
+    # rows 2r and 2r + 1 hold rule r's L_(N-1)^(alpha+1) = -L_N' and L_N; own picks each node's two
+    degrees = [d for nodes in counts for d in (nodes - 1, nodes)]
+    own = (np.stack([2 * rule, 2 * rule + 1]), node)
     for _ in range(3):
-        # z - L_N / L_N' with L_N' = -L_{N-1}^(alpha+1); exact roots stay put
-        (slope_sign, sign), (log_slope, log_value) = laguerre_signed_log([nodes - 1, nodes], [alpha + 1.0, alpha], z)
+        # z - L_N / L_N'; exact roots stay put
+        sign, log_abs = laguerre_signed_log(degrees, [alpha + 1.0, alpha] * len(counts), z)
+        (slope_sign, sign), (log_slope, log_value) = sign[own], log_abs[own]
         live = sign * slope_sign != 0.0
         z = z + sign * slope_sign * np.exp(np.where(live, log_value - log_slope, -np.inf))
-    _, log_next = laguerre_signed_log(nodes + 1, alpha, z)
-    log_w = log_gamma(nodes + alpha + 1.0) - log_gamma(nodes + 1.0) - 2.0 * math.log(nodes + 1.0)
-    return z, log_w + np.log(z) - 2.0 * log_next
+    _, log_next = laguerre_signed_log([nodes + 1 for nodes in counts], [alpha] * len(counts), z)
+    log_w = [log_gamma(nodes + alpha + 1.0) - log_gamma(nodes + 1.0) - 2.0 * math.log(nodes + 1.0) for nodes in counts]
+    log_w = np.repeat(log_w, counts) + np.log(z) - 2.0 * log_next[rule, node]
+    ends = np.cumsum(counts)[:-1]
+    return list(zip(np.split(z, ends), np.split(log_w, ends)))
 
 
 @dataclass(frozen=True)
@@ -602,7 +622,9 @@ class MorseBasis:
         polynomial of degree <= 2K (K the top bound mode, alpha = nu - 2K - 2),
         so the Gauss-Laguerre rule with K + 1 nodes is exact.  The table is
         checked once, when it is built, against 8 more nodes and raises
-        QuadratureAccuracyError if an entry moves by more than 1e-7.
+        QuadratureAccuracyError if an entry moves by more than 1e-7.  Both
+        rules are polished in one pass (``_gauss_laguerre_rules``), and both
+        tables come from one Laguerre pass over all their nodes.
         """
         if self._overlap is None:
             top = self.bound_modes()[-1]
@@ -624,7 +646,7 @@ class MorseBasis:
         # h_n(z_i) = sqrt(w_i) N_n / sqrt(beta) z_i^(K-n) L_n^(2(p-n))(z_i), so that
         # S = H H^T.  Each |h_n(z_i)| <= 1 because sum_i h_n(z_i)^2 = S[n, n].
         modes = np.array(self.bound_modes())
-        parts = [_gauss_laguerre(nodes, alpha) for nodes in rules]
+        parts = _gauss_laguerre_rules(rules, alpha)
         z, log_w = (np.concatenate(column) for column in zip(*parts))
         log_z = np.log(z)
         sign, log_lag = laguerre_signed_log(modes, 2.0 * (self.p - modes), z)
@@ -782,15 +804,21 @@ def gram_matrix(basis: MorseBasis, states, quad: QuadratureConfig | None = None)
     """Matrix of pairwise overlaps <s_i | s_j> on the exact overlap table.
 
     Every state is a sum of swap pairs gamma |n, m> + delta |m, n>
-    (``_swap_pairs``).  With <n, m | n', m'> = S[n, n'] S[m, m'], two pairs
-    overlap by
+    (``_swap_pairs``; a list of level states is read from their fields in
+    one pass).  With <n, m | n', m'> = S[n, n'] S[m, m'], two pairs overlap
+    by A P + B Q, where
 
-        (conj(gamma) gamma' + conj(delta) delta') P + (conj(gamma) delta' + conj(delta) gamma') Q,
+        A = conj(gamma) gamma' + conj(delta) delta',   P = S[n, n'] S[m, m'],
+        B = conj(gamma) delta' + conj(delta) gamma',   Q = S[n, m'] S[m, n'].
 
-    P = S[n, n'] S[m, m'] and Q = S[n, m'] S[m, n'], so all pairs take four
-    gathers of S and two (L x 2) @ (2 x L) coefficient products.  A level
-    state is one pair, so a list of them needs no further step; otherwise
-    each state's rows and columns are summed.
+    The product runs in real halves by row blocks of at most _GRAM_BLOCK
+    elements: for each block, P and Q are row gathers of S[:, n] and S[:, m],
+    the real and imaginary parts of A and B are (rows x 4) @ (4 x L) real
+    products of the coefficients' parts, and each half of G is written
+    straight into the complex result.  The imaginary half is skipped when
+    every gamma and delta is real.  Peak memory is about the result plus one
+    block's arrays.  A level state is one pair, so a list of them needs no
+    further step; otherwise each state's rows and columns are summed.
 
     S is ``MorseBasis.overlap_table``; level states give max|G - I| below
     1e-10 at k = 45 and 60, eps down to 0.01.  ``quad`` is unused and kept
@@ -798,6 +826,48 @@ def gram_matrix(basis: MorseBasis, states, quad: QuadratureConfig | None = None)
     """
     s = basis.overlap_table()
     states = list(states)
+    n, m, gamma, delta, starts = _pair_columns(basis, states)
+    g = np.zeros((n.size, n.size), dtype=complex)
+    # the real parts of A and B are u @ u.T and u @ u[:, [2, 3, 0, 1]].T, the
+    # imaginary parts flip @ u[:, [1, 0, 3, 2]].T and flip @ u[:, [3, 2, 1, 0]].T
+    u = np.column_stack([gamma.real, gamma.imag, delta.real, delta.imag])
+    halves = [(g.real, u, u.T, u[:, [2, 3, 0, 1]].T)]
+    if u[:, 1::2].any():
+        flip = u * [1.0, -1.0, 1.0, -1.0]
+        halves.append((g.imag, flip, u[:, [1, 0, 3, 2]].T, u[:, [3, 2, 1, 0]].T))
+    s_n, s_m = s[:, n], s[:, m]
+    rows = max(1, _GRAM_BLOCK // max(1, n.size))
+    for lo in range(0, n.size, rows):
+        block = slice(lo, lo + rows)
+        p = s_n[n[block]]
+        p *= s_m[m[block]]
+        q = s_m[n[block]]
+        q *= s_n[m[block]]
+        for half, left, a, b in halves:
+            out = half[block]
+            np.multiply(left[block] @ a, p, out=out)
+            term = left[block] @ b
+            term *= q
+            out += term
+    if starts is None:
+        return g
+    return np.add.reduceat(np.add.reduceat(g, starts, axis=0), starts, axis=1)
+
+
+def _pair_columns(basis: MorseBasis, states: list) -> tuple:
+    """Columns n, m, gamma, delta of every swap pair of ``states``, and each state's first pair.
+
+    The first pairs are None when every state is one pair.  A list of level
+    states whose modes are all bound is read from the states' fields in one
+    pass; any other list goes state by state through ``_swap_pairs``, which
+    raises for the first state that fails, as it would alone.
+    """
+    if states and all(isinstance(state, MuState) for state in states):
+        fields = [(x.n, x.m, 1.0, 0.0) if x.coeffs is None else (x.n, x.m, x.coeffs.gamma, x.coeffs.delta)
+                  for x in states]
+        n, m, gamma, delta = (np.array(column) for column in zip(*fields))
+        if n.dtype.kind in "iu" and m.dtype.kind in "iu" and n.max() <= basis.bound_modes()[-1]:
+            return n, m, gamma.astype(complex), delta.astype(complex), None
     n, m, gamma, delta, starts = [], [], [], [], []
     for state in states:
         starts.append(len(n))
@@ -805,24 +875,7 @@ def gram_matrix(basis: MorseBasis, states, quad: QuadratureConfig | None = None)
             column += values
     n, m = (np.array(x, dtype=np.intp) for x in (n, m))
     gamma, delta = (np.array(x, dtype=complex) for x in (gamma, delta))
-    left = np.conj(np.column_stack([gamma, delta]))
-    # products in place: the peak is g, crossed and one real L x L table,
-    # 40 L^2 bytes; S[a][:, b] gathers L short rows first and is several
-    # times faster than S[np.ix_(a, b)]
-    g = left @ np.stack([gamma, delta])
-    overlaps = s[n][:, n]
-    overlaps *= s[m][:, m]
-    g *= overlaps
-    overlaps = s[n][:, m]
-    overlaps *= s[m][:, n]
-    crossed = left @ np.stack([delta, gamma])
-    crossed *= overlaps
-    del overlaps
-    g += crossed
-    del crossed
-    if len(n) == len(states):
-        return g
-    return np.add.reduceat(np.add.reduceat(g, starts, axis=0), starts, axis=1)
+    return n, m, gamma, delta, None if len(n) == len(states) else starts
 
 
 def _swap_pairs(basis: MorseBasis, state) -> tuple[list, list, list, list]:

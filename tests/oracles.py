@@ -39,7 +39,8 @@ from morsekit import (
     shifted_energy,
 )
 from morsekit.coherent import _axis_expectations
-from morsekit.states import _expand, _gauss_laguerre, _log_norm
+from morsekit.specfun import laguerre_signed_log, log_gamma
+from morsekit.states import _expand, _log_norm, _swap_pairs
 
 # Adjacent float energies closer than this many ulps are re-compared exactly.
 _ULP_WINDOW = 8
@@ -202,11 +203,25 @@ def density_grid_loop(basis, state, grid):
     return np.abs(fx.T @ c @ fy) ** 2
 
 
+def gauss_laguerre_rule(nodes, alpha):
+    """Nodes and log weights of one Gauss-Laguerre rule, polished on its own (three Newton steps, one call each)."""
+    j = np.arange(1, nodes)
+    off = np.sqrt(j * (j + alpha))
+    z = np.linalg.eigvalsh(np.diag(2.0 * np.arange(nodes) + alpha + 1.0) + np.diag(off, -1))
+    for _ in range(3):
+        (slope_sign, sign), (log_slope, log_value) = laguerre_signed_log([nodes - 1, nodes], [alpha + 1.0, alpha], z)
+        live = sign * slope_sign != 0.0
+        z = z + sign * slope_sign * np.exp(np.where(live, log_value - log_slope, -np.inf))
+    _, log_next = laguerre_signed_log(nodes + 1, alpha, z)
+    log_w = log_gamma(nodes + alpha + 1.0) - log_gamma(nodes + 1.0) - 2.0 * math.log(nodes + 1.0)
+    return z, log_w + np.log(z) - 2.0 * log_next
+
+
 def overlap_table_loop(basis):
     """Overlap table S = H H^T on K + 1 nodes, one row h_n(z_i) of H per mode (see MorseBasis._overlap_rows)."""
     modes = basis.bound_modes()
     top = modes[-1]
-    z, log_w = _gauss_laguerre(top + 1, basis.nu - 2.0 * top - 2.0)
+    z, log_w = gauss_laguerre_rule(top + 1, basis.nu - 2.0 * top - 2.0)
     log_z = np.log(z)
     rows = np.zeros((basis.k + 1, z.size))
     for n in modes:
@@ -320,6 +335,24 @@ def gram_matrix_pairs(basis, states):
     g = np.zeros((len(states), len(states)), dtype=complex)
     np.add.at(g, np.ix_(owner, owner), pair_gram)
     return g
+
+
+def gram_matrix_swap_pairs(basis, states):
+    """gram_matrix in complex swap-pair form: (L x 2) @ (2 x L) coefficient products times full L x L gathers of S."""
+    s = basis.overlap_table()
+    n, m, gamma, delta, starts = [], [], [], [], []
+    for state in states:
+        starts.append(len(n))
+        for column, values in zip((n, m, gamma, delta), _swap_pairs(basis, state)):
+            column += values
+    n, m = (np.array(x, dtype=np.intp) for x in (n, m))
+    gamma, delta = (np.array(x, dtype=complex) for x in (gamma, delta))
+    left = np.conj(np.column_stack([gamma, delta]))
+    g = (left @ np.stack([gamma, delta])) * (s[n][:, n] * s[m][:, m])
+    g += (left @ np.stack([delta, gamma])) * (s[n][:, m] * s[m][:, n])
+    if len(n) == len(states):
+        return g
+    return np.add.reduceat(np.add.reduceat(g, starts, axis=0), starts, axis=1)
 
 
 def mu_states_eager(records, coeffs=None, overrides=None):

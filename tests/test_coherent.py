@@ -7,6 +7,7 @@ import math
 import random
 import sys
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -291,6 +292,47 @@ class TestResidual:
                 assert coherent._root(value) == decimal.Decimal(value).sqrt(), value
             for value in decimals:
                 assert coherent._root(value) == value.sqrt(), value
+
+    @staticmethod
+    def _exact_root(value, digits):
+        """sqrt(value) rounded half-even to ``digits`` significant digits, as a Fraction, from integers alone."""
+        v = Fraction(value)
+        # 10^d <= sqrt(v) < 10^(d + 1)
+        d = (v.numerator.bit_length() - v.denominator.bit_length()) * 3 // 20
+        while Fraction(10) ** (2 * d) > v:
+            d -= 1
+        while Fraction(10) ** (2 * d + 2) <= v:
+            d += 1
+        t = digits - 1 - d
+        scaled = v * Fraction(10) ** (2 * t)
+        c = math.isqrt(math.floor(scaled))
+        # round up past c + 1/2, i.e. when scaled exceeds c^2 + c + 1/4; a tie goes to the even c
+        half = c * c + c + Fraction(1, 4)
+        if scaled > half or (scaled == half and c % 2):
+            c += 1
+        return Fraction(c) / Fraction(10) ** t
+
+    @pytest.mark.parametrize("digits", [80, 282, 380])
+    def test_root_matches_an_exact_integer_root(self, digits):
+        # floats (a power-of-two denominator, shifted) and Fractions (any denominator, divided)
+        rng = random.Random(f"exact root:{digits}")
+        floats = [5e-324, 2.2250738585072014e-308, 1.0e-310, 1.7976931348623157e308, 1.0, 0.5, 3.0]
+        floats += [rng.uniform(0.5, 2.0) * 10.0 ** rng.randint(-300, 300) for _ in range(60)]
+        fractions = [Fraction(1, 3), Fraction(2, 7**40), Fraction(10**50 + 1, 3**90), Fraction(9, 4)]
+        fractions += [Fraction(x) ** 2 + Fraction(y) ** 2 for x, y in zip(floats[7:37], floats[37:])]
+        fractions += [Fraction(rng.randrange(1, 10**60), rng.randrange(1, 10**60) | 1) for _ in range(30)]
+        # roots a hair above, at and a hair below a halfway point: x has digits + 1 significant digits ending
+        # in 5, with a power-of-two denominator 2^j or the denominator 10^j
+        j = digits // 2
+        low, high = 10 ** (digits - j), 10 ** (digits + 1 - j)
+        for _ in range(10):
+            for x in (Fraction(rng.randrange(low << j, high << j) | 1, 2**j),
+                      Fraction(10 * rng.randrange(low * 10**j // 10, high * 10**j // 10) + 5, 10**j)):
+                fractions += [x * x + delta * Fraction(1, 2 ** (4 * digits)) for delta in (1, 0, -1)]
+        with decimal.localcontext() as ctx:
+            ctx.prec = digits
+            for value in floats + fractions:
+                assert Fraction(coherent._root(value)) == self._exact_root(value, digits), value
 
     def test_direct_residual_subnormal_is_correctly_rounded(self):
         # mpmath's float() rounds this subnormal twice, to 1.6498962625735345e-308

@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     density_grid_loop,
+    gauss_laguerre_rule,
     gram_matrix_loop,
     gram_matrix_pairs,
+    gram_matrix_swap_pairs,
     mode_box_scan,
     mode_derivative_loop,
     mode_tables_loop,
@@ -45,6 +47,7 @@ from morsekit import (
     normalization,
     order_spectrum,
     overlap,
+    pi_multiple_text,
 )
 from morsekit import states
 
@@ -463,11 +466,31 @@ class TestOverlapTable:
         g = gram_matrix(MorseBasis(param), mu.states)
         assert _deviation_from_identity(g, len(mu.states)) <= 1e-10
 
+    @pytest.mark.parametrize(
+        ("text", "mode"),
+        [("3pi", "irrational"), ("9.3717", "irrational"), ("15.3717", "irrational"), ("24.3717", "irrational"),
+         ("26.86", "irrational"), ("45.084", "irrational"), ("60.3717", "irrational"), ("28", "integer")],
+    )
+    def test_rules_polished_together_equal_each_rule_alone(self, text, mode, monkeypatch):
+        # both rules in one Laguerre pass per step give the per-rule nodes, weights and table bit for bit
+        text = pi_multiple_text(3.0) if text == "3pi" else text
+        basis = MorseBasis(decompose(text, mode))
+        top = basis.bound_modes()[-1]
+        counts, alpha = (top + 1, top + 1 + states._CHECK_NODES), basis.nu - 2.0 * top - 2.0
+        for (z, log_w), nodes in zip(states._gauss_laguerre_rules(counts, alpha), counts):
+            z_one, log_w_one = gauss_laguerre_rule(nodes, alpha)
+            assert np.array_equal(z, z_one) and np.array_equal(log_w, log_w_one)
+        table = basis.overlap_table()
+        monkeypatch.setattr(states, "_gauss_laguerre_rules",
+                            lambda counts, alpha: [gauss_laguerre_rule(nodes, alpha) for nodes in counts])
+        assert np.array_equal(table, MorseBasis(basis.principal).overlap_table())
+
     def test_failed_check_raises_with_its_numbers(self, p3pi, monkeypatch):
         # three nodes short of K + 1, the rule is no longer exact and the
         # N + 8 check catches it
-        exact = states._gauss_laguerre
-        monkeypatch.setattr(states, "_gauss_laguerre", lambda nodes, alpha: exact(nodes - 3, alpha))
+        exact = states._gauss_laguerre_rules
+        monkeypatch.setattr(states, "_gauss_laguerre_rules",
+                            lambda counts, alpha: exact([c - 3 for c in counts], alpha))
         basis = MorseBasis(p3pi)
         alpha = basis.nu - 20.0
         with pytest.raises(QuadratureAccuracyError) as info:
@@ -501,7 +524,8 @@ class TestGramMatrix:
     @staticmethod
     def _check(basis, states, loop=True):
         g = gram_matrix(basis, states)
-        assert g.shape == (len(states), len(states))
+        assert g.shape == (len(states), len(states)) and g.dtype == complex
+        assert np.max(np.abs(g - gram_matrix_swap_pairs(basis, states))) <= 1e-15
         assert np.max(np.abs(g - gram_matrix_pairs(basis, states))) <= 1e-15
         if loop:
             assert np.max(np.abs(g - gram_matrix_loop(basis, states))) <= 1e-15
@@ -569,6 +593,57 @@ class TestGramMatrix:
         if np.all(np.diff(spectrum.shifted_energies()) > 0.0):
             coherent = coherent_coefficients(psi * cmath.exp(0.7j), ladder_f(spectrum), mu)
             self._check(basis, [coherent, mu.states[-1], coherent])
+
+    @pytest.mark.parametrize(
+        "mix", [(0.8, -0.6), (0.6, 0.8j), (0.6 - 0.2j, 0.3 + 0.7j)], ids=["real", "imaginary-delta", "complex"]
+    )
+    def test_real_and_complex_mixing(self, mix):
+        # real mixing leaves the imaginary half at zero without computing it
+        param = decompose("24.3717", "irrational")
+        mu = build_mu_basis(order_spectrum(param), MixingCoefficients.normalized(*mix))
+        g = self._check(MorseBasis(param), mu.states)
+        assert np.any(g.imag) == any(isinstance(x, complex) for x in mix)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        k=st.integers(min_value=1, max_value=8),
+        eps=st.floats(min_value=0.01, max_value=0.99),
+        gamma=st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+        psi=st.floats(min_value=0.1, max_value=3.0),
+        picks=st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=6),
+        data=st.data(),
+    )
+    def test_property_across_block_edges(self, k, eps, gamma, psi, picks, data):
+        # level states, coherent states and one overridden doublet; blocks of 1, 7, L and 7L elements
+        # give one row per block up to seven, most with a short last block
+        param = decompose(f"{k}.{round(eps * 10**12):012d}3717", "irrational")
+        spectrum = order_spectrum(param)
+        doublets = np.flatnonzero(spectrum.n != spectrum.m).tolist()
+        override = {data.draw(st.sampled_from(doublets)): MixingCoefficients.normalized(gamma, 0.4 - 0.3j)}
+        mu = build_mu_basis(spectrum, MixingCoefficients.normalized(0.3, 0.7j), override)
+        basis = MorseBasis(param)
+        chosen = [mu.states[i % len(mu.states)] for i in picks] + [mu.states[next(iter(override))]]
+        if np.all(np.diff(spectrum.shifted_energies()) > 0.0):
+            ladder = ladder_f(spectrum)
+            chosen[1:1] = [coherent_coefficients(psi * cmath.exp(1.1j), ladder, mu)]
+        for lists in (mu.states, chosen):
+            for block in (1, 7, len(lists), 7 * len(lists)):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(states, "_GRAM_BLOCK", block)
+                    self._check(basis, lists)
+
+    def test_peak_memory_is_the_result_and_one_block(self):
+        # the real halves are written block by block into the complex result
+        param = decompose("60.3717", "irrational")
+        levels = build_mu_basis(order_spectrum(param)).states
+        basis = MorseBasis(param)
+        tracemalloc.start()
+        try:
+            g = gram_matrix(basis, levels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * g.nbytes
 
     def test_threshold_mode_of_an_integer_well_is_refused(self):
         # p = 4: the census counts |4, 4> (level mu_14), but mode n = 4 sits at E = 0
