@@ -279,15 +279,15 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
 def _gauss_laguerre_rules(counts, alpha: float) -> list[tuple[np.ndarray, np.ndarray]]:
     """Nodes z_i and log weights ln w_i of the rules for z^alpha e^(-z) on (0, inf), one per node count.
 
-    ``counts`` is ascending.  A rule with N nodes is exact for polynomials of
-    degree below 2N.  Each rule's nodes start as the eigenvalues of its
-    Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969).  Both rules are then
-    polished in one pass: each of three Newton steps on L_N^alpha, and the
-    weights w_i = Gamma(N+alpha+1) z_i / (N! (N+1)^2 L_{N+1}^alpha(z_i)^2),
-    take one row-form Laguerre call over every rule's nodes, and a node reads
-    its own rule's rows, so each value is the one a call per rule gives, bit
-    for bit.  The weights are kept as logs because they underflow far out in
-    the tail.
+    ``counts`` is strictly ascending.  A rule with N nodes is exact for
+    polynomials of degree below 2N.  Each rule's nodes start as the
+    eigenvalues of its Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969).
+    All rules are then polished in one pass: each of three Newton steps on
+    L_N^alpha, and the weights
+    w_i = Gamma(N+alpha+1) z_i / (N! (N+1)^2 L_{N+1}^alpha(z_i)^2), take one
+    row-form Laguerre call over every rule's nodes, and a node reads its own
+    rule's rows, so each value is the one a call per rule gives, bit for bit.
+    The weights are kept as logs because they underflow far out in the tail.
     """
     start = []
     for nodes in counts:
@@ -298,7 +298,7 @@ def _gauss_laguerre_rules(counts, alpha: float) -> list[tuple[np.ndarray, np.nda
     z = np.concatenate(start)
     rule = np.repeat(np.arange(len(counts)), counts)
     node = np.arange(z.size)
-    # rows 2r and 2r + 1 hold rule r's L_(N-1)^(alpha+1) = -L_N' and L_N; own picks each node's two
+    # rows 2r and 2r + 1 hold rule r's L_(N-1)^(alpha+1) = -L_N' and L_N; own picks them for rule r's nodes
     degrees = [d for nodes in counts for d in (nodes - 1, nodes)]
     own = (np.stack([2 * rule, 2 * rule + 1]), node)
     for _ in range(3):
