@@ -11,10 +11,8 @@ independent cross-check.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
-from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -149,11 +147,6 @@ class CoherentState:
         np.add.at(c, (rows, cols), np.repeat(self.coefficients[live], 2)[keep] * values)
         return c
 
-    def localization_fraction(self, count: int = 1) -> float:
-        """Probability weight carried by the lowest ``count`` levels."""
-        probs = np.abs(self.coefficients) ** 2
-        return float(probs[:count].sum())
-
 
 def coherent_coefficients(psi, ladder: LadderSpectrum, basis: MuBasis) -> CoherentState:
     """Coherent-state coefficients over the level basis, stable for any |Psi|.
@@ -216,68 +209,68 @@ def bg_residual(state: CoherentState, ladder: LadderSpectrum) -> float:
     return math.exp(log_bg_residual(state, ladder))
 
 
-@functools.lru_cache(maxsize=128)
-def _hundred_power(q: int) -> int:
-    return 10 ** (2 * q)
+def _root(value, bits: int) -> int:
+    """Nearest integer to sqrt(value) 2^bits, for a float or Fraction ``value``; a tie rounds up.
 
-
-def _root(value) -> Decimal:
-    """Square root of ``value`` (float, Fraction or Decimal) correctly rounded to the context precision.
-
-    With value = m/e exactly, s = isqrt(m 10^(2q) // e) is the root's floor at
-    q places; q leaves s at least one digit beyond the precision, and an
-    appended sticky digit (1 when s^2 e != m 10^(2q)) marks a nonzero rest.
-    A power-of-two e, as every float has, divides and multiplies by shifts.
+    With value = m/e exactly, s = isqrt(m 4^(bits + 1) // e) is the floor of
+    2 sqrt(value) 2^bits (the floor of a root is the floor of the root of the
+    floor), so (s + 1) // 2 is the nearest integer to half of it.
     """
     m, e = value.as_integer_ratio()
-    q = getcontext().prec + 2 + max(0, e.bit_length() - m.bit_length()) // 3
-    scaled = m * _hundred_power(q)
-    if e & (e - 1):
-        s = math.isqrt(scaled // e)
-        rest = s * s * e != scaled
-    else:
-        shift = e.bit_length() - 1
-        s = math.isqrt(scaled >> shift)
-        rest = s * s << shift != scaled
-    return (+Decimal(10 * s + rest)).scaleb(-(q + 1))
+    return (math.isqrt((m << 2 * bits + 2) // e) + 1) >> 1
+
+
+def _float_root(num: int, den: int) -> float:
+    """sqrt(num / den) correctly rounded to a double, subnormals included.
+
+    s = isqrt(num 4^t // den) is the root's floor at t = 1074 + 64 bits, 64
+    bits below the smallest subnormal.  A sticky bit for any rest puts an
+    inexact root strictly between s and s + 1, so ``float`` rounds it once.
+    """
+    shift = 1074 + 64
+    scaled = num << 2 * shift
+    s = math.isqrt(scaled // den)
+    return float(Fraction(2 * s + (s * s * den != scaled), 1 << shift + 1))
 
 
 def bg_residual_direct(state: CoherentState, ladder: LadderSpectrum) -> float:
-    """Truncation residual from the ladder action itself, in high precision.
+    """Truncation residual from the ladder action itself, in exact integers scaled by 2^P.
 
     Recomputes the coefficients, applies the lowering operator term by term
-    and measures || A- |Psi> - Psi |Psi> || in ``decimal`` arithmetic.  Rung n
-    of both vectors carries the phase e^(i (n+1) arg Psi), so only the
-    magnitudes e_n = |Psi|^n / (r_1 ... r_n), r_j = sqrt(f(j)), enter.  Each
-    e_n is built from its definition with a running power and a running
-    product of roots, never from e_(n-1) through the ratio |Psi| / r_n that
-    the check tests.  Every square root, |Psi| included, is the integer
-    square root of the exact value scaled past the working precision, with a
-    sticky digit for any rest, rounded once: the correctly rounded root.
-    The working precision is 40 digits plus the number of decimal places the
-    closed-form estimate ``log_bg_residual`` puts below 1, so the
+    and measures || A- |Psi> - Psi |Psi> ||.  Rung n of both vectors carries
+    the phase e^(i (n+1) arg Psi), so only the magnitudes
+    e_n = |Psi|^n / (r_1 ... r_n), r_j = sqrt(f(j)), enter.  Every input is a
+    dyadic rational (the f(j) are doubles, |Psi|^2 the sum of the squares of
+    Psi's parts), so each value is held as an integer X standing for X / 2^P.
+    |Psi| and every r_j are the nearest such integers to the exact roots.
+    Each e_n is built from its definition with a running power and a running
+    product of roots, both shifted back by P bits, and one integer division
+    per rung, never from e_(n-1) through the ratio |Psi| / r_n that the check
+    tests.  The gaps and both sums of squares are exact, and the result is
+    the correctly rounded root of their ratio (``_float_root``).
+    P = ceil(d log2 10) + 8 bits for d = 40 digits plus the number of decimal
+    places the closed-form estimate ``log_bg_residual`` puts below 1, so the
     subtraction keeps significant digits; doubles alone lose the residual
-    entirely in cancellation noise.  The places are capped at 340 (at most
-    380 digits): a residual below 1e-340 is below the smallest subnormal
-    double, so the result is 0.0 however many digits it was computed with.
+    entirely in cancellation noise.  The places are capped at 340 (d at most
+    380, P at most 1271): a residual below 1e-340 is below the smallest
+    subnormal double, so the result is 0.0 however precisely it was computed.
     """
     estimate = log_bg_residual(state, ladder) / math.log(10.0)  # also checks the ladder
     if state.psi == 0.0:
         return 0.0
-    with localcontext() as ctx:
-        ctx.prec = 40 + min(340, max(0, -int(math.floor(estimate))))
-        apsi = _root(Fraction(state.psi.real) ** 2 + Fraction(state.psi.imag) ** 2)
-        roots = [_root(f) for f in ladder.f[1:].tolist()]
-        power = root_fact = Decimal(1)
-        e = [power]
-        for r in roots:
-            power *= apsi
-            root_fact *= r
-            e.append(power / root_fact)
-        # (A- c)_n = sqrt(f(n+1)) c_{n+1}, zero at the top rung
-        gaps = [r * hi - apsi * lo for r, lo, hi in zip(roots, e, e[1:])]
-        gaps.append(apsi * e[-1])
-        return float(_root(sum(g * g for g in gaps) / sum(x * x for x in e)))
+    bits = math.ceil((40 + min(340, max(0, -int(math.floor(estimate))))) * math.log2(10.0)) + 8
+    apsi = _root(Fraction(state.psi.real) ** 2 + Fraction(state.psi.imag) ** 2, bits)
+    roots = [_root(f, bits) for f in ladder.f[1:].tolist()]
+    power = root_fact = 1 << bits
+    e = [power]
+    for r in roots:
+        power = power * apsi >> bits
+        root_fact = root_fact * r >> bits
+        e.append((power << bits) // root_fact)
+    # (A- c)_n = sqrt(f(n+1)) c_{n+1}, zero at the top rung; gaps carry 2^(2P)
+    gaps = [r * hi - apsi * lo for r, lo, hi in zip(roots, e, e[1:])]
+    gaps.append(apsi * e[-1])
+    return _float_root(sum(g * g for g in gaps), sum(x * x for x in e) << 2 * bits)
 
 
 @dataclass(frozen=True)

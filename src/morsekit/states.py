@@ -38,9 +38,7 @@ __all__ = [
     "MorseBasis",
     "normalization",
     "eigenfunction",
-    "mu_wavefunction",
     "density_grid",
-    "overlap",
     "gram_matrix",
 ]
 
@@ -501,13 +499,6 @@ class MorseBasis:
         vals = self._rows([n], arr.reshape(-1))[0].reshape(arr.shape)
         return float(vals) if arr.ndim == 0 else vals
 
-    def mode_derivative_values(self, n: int, x) -> np.ndarray:
-        """d phi_n / dx on the given positions (scalar or array); see ``_rows``."""
-        self._check_mode(n)
-        arr = np.asarray(x, dtype=float)
-        vals = self._rows([n], arr.reshape(-1), derivative=True)[1][0].reshape(arr.shape)
-        return float(vals) if arr.ndim == 0 else vals
-
     # -- support scans --------------------------------------------------------
 
     def mode_box(self, n: int) -> tuple[float, float]:
@@ -731,15 +722,6 @@ def eigenfunction(basis: MorseBasis, n: int, m: int, x, y) -> np.ndarray:
     return basis.mode_values(n, x) * basis.mode_values(m, y)
 
 
-def mu_wavefunction(basis: MorseBasis, state: MuState, x, y) -> np.ndarray:
-    """Complex amplitude of a level state at the given points.
-
-    Diagonal states return psi_{n,n}; mixed states return
-    gamma psi_{n,m} + delta psi_{m,n}.
-    """
-    return sum(value * eigenfunction(basis, n, m, x, y) for n, m, value in state.entries)
-
-
 def _expand(basis: MorseBasis, state) -> tuple[np.ndarray, list[int]]:
     """Coefficient matrix C of a state over the product basis, and the modes C uses.
 
@@ -790,14 +772,6 @@ def density_grid(basis: MorseBasis, state, grid: GridSpec | None = None) -> Scal
     fy = _padded(basis._rows(used, ys), used, basis.k + 1)
     amplitude = fx.T @ c @ fy
     return ScalarField2D(grid, np.abs(amplitude) ** 2)
-
-
-def overlap(basis: MorseBasis, state_a, state_b, quad: QuadratureConfig | None = None) -> complex:
-    """<state_a | state_b>, the off-diagonal entry of ``gram_matrix`` on the two states.
-
-    ``quad`` is unused and kept so that existing calls keep working.
-    """
-    return complex(gram_matrix(basis, [state_a, state_b])[0, 1])
 
 
 def gram_matrix(basis: MorseBasis, states, quad: QuadratureConfig | None = None) -> np.ndarray:

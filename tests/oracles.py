@@ -8,7 +8,7 @@ arithmetic is easy to audit.
 import itertools
 import json
 import math
-from decimal import Decimal, localcontext
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,7 +32,9 @@ from morsekit import (
     QuadratureConfig,
     OrderedSpectrum,
     OrderingAmbiguityError,
+    eigenfunction,
     enumerate_levels,
+    gram_matrix,
     level_key,
     log_bg_residual,
     scaled_energy,
@@ -132,6 +134,14 @@ def mode_derivative_loop(basis, n, x):
         sign_d, log_d = laguerre_signed_log_single(n - 1, alpha + 1.0, z)
         bracket = bracket - z * sign_d * np.exp(np.minimum(log_pre + log_d, _LOG_EXP_CAP))
     return -basis.beta * bracket
+
+
+def mode_derivative_values(basis, n, x):
+    """d phi_n / dx on the given positions (scalar or array), from the derivative rows of ``MorseBasis._rows``."""
+    basis._check_mode(n)
+    arr = np.asarray(x, dtype=float)
+    vals = basis._rows([n], arr.reshape(-1), derivative=True)[1][0].reshape(arr.shape)
+    return float(vals) if arr.ndim == 0 else vals
 
 
 def mode_box_scan(basis, n):
@@ -259,6 +269,47 @@ def bg_residual_direct_logexp(state, ladder):
         return float(mpmath.sqrt(mpmath.fdot(gaps, gaps) / mpmath.fdot(e, e)))
 
 
+def decimal_root(value):
+    """Square root of ``value`` (float, Fraction or Decimal) correctly rounded to the decimal context precision.
+
+    With value = m/e exactly, s = isqrt(m 10^(2q) // e) is the root's floor at
+    q places; q leaves s at least one digit beyond the precision, and an
+    appended sticky digit (1 when s^2 e != m 10^(2q)) marks a nonzero rest.
+    """
+    m, e = value.as_integer_ratio()
+    q = getcontext().prec + 2 + max(0, e.bit_length() - m.bit_length()) // 3
+    scaled = m * 10 ** (2 * q)
+    s = math.isqrt(scaled // e)
+    return (+Decimal(10 * s + (s * s * e != scaled))).scaleb(-(q + 1))
+
+
+def bg_residual_direct_decimal(state, ladder):
+    """bg_residual_direct in ``decimal`` arithmetic, as the library computed it before its integer form.
+
+    The same running power and running product of roots, at d = 40 digits
+    plus the places ``log_bg_residual`` puts below 1 (at most 380), with
+    every root, the final one included, correctly rounded to d digits by
+    ``decimal_root`` and the result rounded to a double by ``float``.
+    """
+    estimate = log_bg_residual(state, ladder) / math.log(10.0)
+    if state.psi == 0.0:
+        return 0.0
+    with localcontext() as ctx:
+        ctx.prec = 40 + min(340, max(0, -int(math.floor(estimate))))
+        apsi = decimal_root(Fraction(state.psi.real) ** 2 + Fraction(state.psi.imag) ** 2)
+        roots = [decimal_root(f) for f in ladder.f[1:].tolist()]
+        power = root_fact = Decimal(1)
+        e = [power]
+        for r in roots:
+            power *= apsi
+            root_fact *= r
+            e.append(power / root_fact)
+        # (A- c)_n = sqrt(f(n+1)) c_{n+1}, zero at the top rung
+        gaps = [r * hi - apsi * lo for r, lo, hi in zip(roots, e, e[1:])]
+        gaps.append(apsi * e[-1])
+        return float(decimal_root(sum(g * g for g in gaps) / sum(x * x for x in e)))
+
+
 def bg_residual_direct_complex(state, ladder, dps=None):
     """bg_residual_direct on the complex coefficients, phases and all."""
     if state.psi == 0.0:
@@ -297,6 +348,21 @@ def residual_complex_mpf(state, ladder, dps=None):
         return mpmath.sqrt(
             mpmath.fsum(abs(lowered[i] - psi * coeff[i]) ** 2 for i in range(state.xi + 1))
         )
+
+
+def mu_wavefunction(basis, state, x, y):
+    """Complex amplitude of a level state at the given points: gamma psi_{n,m} + delta psi_{m,n}, or psi_{n,n}."""
+    return sum(value * eigenfunction(basis, n, m, x, y) for n, m, value in state.entries)
+
+
+def overlap(basis, state_a, state_b):
+    """<state_a | state_b>, the off-diagonal entry of ``gram_matrix`` on the two states."""
+    return complex(gram_matrix(basis, [state_a, state_b])[0, 1])
+
+
+def localization_fraction(state, count=1):
+    """Probability weight a coherent state carries on its lowest ``count`` levels."""
+    return float((np.abs(state.coefficients) ** 2)[:count].sum())
 
 
 def gram_matrix_loop(basis, states):

@@ -36,3 +36,14 @@ def test_ground_state_uncertainty_product():
     exact = float(ground_uncertainty_product(basis.p))
     assert report.product == pytest.approx(exact, rel=1e-12)
     assert report.product > 0.25
+
+
+@pytest.mark.parametrize("text", [pi_multiple_text(3.0), "12.3717"])
+def test_diagonal_mean_momentum_squared(text):
+    # Hellmann-Feynman in the mass: <p^2> = hbar^2 beta^2 (n + 1/2)(p - n)
+    basis = MorseBasis(decompose(text, "irrational"))
+    assert (basis.physical.hbar, basis.beta) == (1.0, 1.0)
+    for n in basis.bound_modes():
+        exact = (n + 0.5) * (basis.p - n)
+        report = moments(basis, MuState(0, n, n), axis="x")
+        assert abs(report.mean_p2 - exact) <= 1e-12 * abs(exact), (n, report.mean_p2, exact)

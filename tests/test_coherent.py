@@ -1,8 +1,6 @@
 """Coherent states over the level ladder: coefficients, residuals, moments."""
 
 import cmath
-import contextlib
-import decimal
 import math
 import random
 import sys
@@ -17,8 +15,10 @@ from hypothesis import strategies as st
 from oracles import (
     axis_expectations_einsum,
     bg_residual_direct_complex,
+    bg_residual_direct_decimal,
     bg_residual_direct_logexp,
     coherent_coefficient_matrix_sum,
+    localization_fraction,
     moments_full_tables,
     residual_complex_mpf,
 )
@@ -112,7 +112,7 @@ class TestCoefficients:
         assert state.coefficients[0] == 1.0
         assert np.all(state.coefficients[1:] == 0.0)
         assert state.log_normalization == 0.0
-        assert state.localization_fraction() == 1.0
+        assert localization_fraction(state) == 1.0
 
     def test_unit_norm_across_amplitudes(self, ladder_3pi, mu_3pi):
         for psi in (0.1, 1.0, 5.0, 10.0, 100.0):
@@ -147,8 +147,8 @@ class TestCoefficients:
 
     def test_small_amplitude_localizes_on_ground(self, ladder_3pi, mu_3pi):
         state = coherent_coefficients(0.1, ladder_3pi, mu_3pi)
-        assert state.localization_fraction(1) > 0.999
-        assert state.localization_fraction(2) > state.localization_fraction(1)
+        assert localization_fraction(state, 1) > 0.999
+        assert localization_fraction(state, 2) > localization_fraction(state, 1)
 
     @pytest.mark.parametrize("psi", [math.nan, math.inf, complex(0.5, math.nan), complex(-math.inf, 1.0)])
     def test_non_finite_psi_rejected(self, ladder_3pi, mu_3pi, psi):
@@ -268,71 +268,50 @@ class TestResidual:
         assert bg_residual_direct(state, ladder) == expected
         assert bg_residual_direct_complex(state, ladder) == expected
 
-    @pytest.mark.parametrize("digits", [40, 190, 380])
-    def test_root_matches_decimal_sqrt(self, digits):
-        # both are correctly rounded, so they agree exactly, from subnormal to huge values
-        rng = random.Random(f"root:{digits}")
-        floats = [5e-324, 0.01, 1.0, 2.0, 1e-300, 1.7976931348623157e308]
-        floats += [rng.uniform(0.5, 2.0) * 10.0 ** rng.randint(-300, 300) for _ in range(200)]
-        # the final ratio is a full-precision decimal, down to about 1e-680
-        decimals = [
-            decimal.Decimal(f"{rng.randrange(10 ** (digits - 1), 10**digits)}E{rng.randint(-700, 300)}")
-            for _ in range(200)
-        ]
-        # roots a hair above, at and a hair below a halfway point between two results
-        with decimal.localcontext() as ctx:
-            ctx.prec = 4 * digits
-            for _ in range(100):
-                half = decimal.Decimal(f"{rng.randrange(10 ** (digits - 1), 10**digits)}5E{rng.randint(-400, 300)}")
-                square = half * half
-                decimals += [square + delta * square.scaleb(-3 * digits) for delta in (1, 0, -1)]
-        with decimal.localcontext() as ctx:
-            ctx.prec = digits
-            for value in floats:
-                assert coherent._root(value) == decimal.Decimal(value).sqrt(), value
-            for value in decimals:
-                assert coherent._root(value) == value.sqrt(), value
+    @staticmethod
+    def _exact_root(value, bits):
+        """Nearest integer to sqrt(value) 2^bits, a tie rounded up, from Fraction comparisons alone."""
+        scaled = Fraction(value) * 4**bits
+        c = math.isqrt(math.floor(scaled))
+        return c + 1 if scaled >= (c + Fraction(1, 2)) ** 2 else c
+
+    @pytest.mark.parametrize("digits", [40, 282, 380])
+    def test_root_matches_an_exact_integer_root(self, digits):
+        # at the residual's 141, 945 and 1271 bits: floats from subnormal to huge, |Psi|^2 sums
+        # of float parts, and values a hair above, at and a hair below a halfway point (c + 1/2)^2 / 4^bits
+        bits = math.ceil(digits * math.log2(10.0)) + 8
+        rng = random.Random(f"exact root:{bits}")
+        values = [5e-324, 2.2250738585072014e-308, 1.0e-310, 1.7976931348623157e308, 1.0, 0.5, 3.0]
+        values += [rng.uniform(0.5, 2.0) * 10.0 ** rng.randint(-300, 300) for _ in range(60)]
+        values += [Fraction(x) ** 2 + Fraction(y) ** 2 for x, y in zip(values[7:37], values[37:])]
+        for _ in range(30):
+            half = Fraction(2 * rng.randrange(1, 2 ** (bits + 60)) + 1, 2 ** (bits + 1))
+            values += [half * half + delta * Fraction(1, 2 ** (6 * bits)) for delta in (1, 0, -1)]
+        for value in values:
+            assert coherent._root(value, bits) == self._exact_root(value, bits), value
 
     @staticmethod
-    def _exact_root(value, digits):
-        """sqrt(value) rounded half-even to ``digits`` significant digits, as a Fraction, from integers alone."""
-        v = Fraction(value)
-        # 10^d <= sqrt(v) < 10^(d + 1)
-        d = (v.numerator.bit_length() - v.denominator.bit_length()) * 3 // 20
-        while Fraction(10) ** (2 * d) > v:
-            d -= 1
-        while Fraction(10) ** (2 * d + 2) <= v:
-            d += 1
-        t = digits - 1 - d
-        scaled = v * Fraction(10) ** (2 * t)
-        c = math.isqrt(math.floor(scaled))
-        # round up past c + 1/2, i.e. when scaled exceeds c^2 + c + 1/4; a tie goes to the even c
-        half = c * c + c + Fraction(1, 4)
-        if scaled > half or (scaled == half and c % 2):
-            c += 1
-        return Fraction(c) / Fraction(10) ** t
+    def _is_rounded_root(y, value):
+        """Whether the double y is sqrt(value) rounded to nearest, a tie to even, from Fraction comparisons alone."""
+        low, high = ((Fraction(y) + Fraction(math.nextafter(y, t))) / 2 for t in (-math.inf, math.inf))
+        low_sq, high_sq = low * abs(low), high * high
+        even = Fraction(y) / Fraction(math.ulp(y)) % 2 == 0
+        return low_sq < value < high_sq or (even and value in (low_sq, high_sq))
 
-    @pytest.mark.parametrize("digits", [80, 282, 380])
-    def test_root_matches_an_exact_integer_root(self, digits):
-        # floats (a power-of-two denominator, shifted) and Fractions (any denominator, divided)
-        rng = random.Random(f"exact root:{digits}")
-        floats = [5e-324, 2.2250738585072014e-308, 1.0e-310, 1.7976931348623157e308, 1.0, 0.5, 3.0]
-        floats += [rng.uniform(0.5, 2.0) * 10.0 ** rng.randint(-300, 300) for _ in range(60)]
-        fractions = [Fraction(1, 3), Fraction(2, 7**40), Fraction(10**50 + 1, 3**90), Fraction(9, 4)]
-        fractions += [Fraction(x) ** 2 + Fraction(y) ** 2 for x, y in zip(floats[7:37], floats[37:])]
-        fractions += [Fraction(rng.randrange(1, 10**60), rng.randrange(1, 10**60) | 1) for _ in range(30)]
-        # roots a hair above, at and a hair below a halfway point: x has digits + 1 significant digits ending
-        # in 5, with a power-of-two denominator 2^j or the denominator 10^j
-        j = digits // 2
-        low, high = 10 ** (digits - j), 10 ** (digits + 1 - j)
-        for _ in range(10):
-            for x in (Fraction(rng.randrange(low << j, high << j) | 1, 2**j),
-                      Fraction(10 * rng.randrange(low * 10**j // 10, high * 10**j // 10) + 5, 10**j)):
-                fractions += [x * x + delta * Fraction(1, 2 ** (4 * digits)) for delta in (1, 0, -1)]
-        with decimal.localcontext() as ctx:
-            ctx.prec = digits
-            for value in floats + fractions:
-                assert Fraction(coherent._root(value)) == self._exact_root(value, digits), value
+    def test_float_root_is_correctly_rounded(self):
+        # subnormal to huge, and values a hair above, at and a hair below a square halfway
+        # between two doubles, where only the sticky bit tells a rest from a tie
+        rng = random.Random("float root")
+        values = [Fraction(0), Fraction(1, 2**2150), Fraction(1, 2**2149), Fraction(1, 2**2148), Fraction(9, 4)]
+        values += [Fraction(rng.uniform(0.5, 2.0) * 10.0 ** rng.randint(-300, 300)) ** 2 / rng.randrange(1, 10**40)
+                   for _ in range(100)]
+        for y in (5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 3.0, 1.5e-33, 1.7e300):
+            for sign in (1, -1):
+                half = (Fraction(y) + Fraction(math.nextafter(y, sign * math.inf))) / 2
+                values += [half * half + delta * half * half / 2**3000 for delta in (1, 0, -1)]
+        for value in values:
+            y = coherent._float_root(value.numerator, value.denominator)
+            assert self._is_rounded_root(y, value), (value, y)
 
     def test_direct_residual_subnormal_is_correctly_rounded(self):
         # mpmath's float() rounds this subnormal twice, to 1.6498962625735345e-308
@@ -357,6 +336,31 @@ class TestResidual:
             direct = bg_residual_direct(state, ladder)
             assert direct == bg_residual_direct_complex(state, ladder)
             assert direct == bg_residual_direct_logexp(state, ladder)
+
+    def test_direct_residual_equals_decimal_form(self):
+        # the integer form against the decimal one it replaced, bit for bit: 24 wells, 10 amplitudes each
+        rng = random.Random("decimal residual")
+        for _ in range(24):
+            spectrum = order_spectrum(decompose(f"{rng.randint(9, 27)}.{rng.randrange(1, 10**12, 2):012d}", "irrational"))
+            ladder, basis = ladder_f(spectrum), build_mu_basis(spectrum)
+            for _ in range(10):
+                state = coherent_coefficients(cmath.rect(rng.uniform(0.5, 12.0), rng.uniform(0.0, 2.0 * math.pi)),
+                                              ladder, basis)
+                assert bg_residual_direct(state, ladder) == bg_residual_direct_decimal(state, ladder), state.psi
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        k=st.integers(min_value=0, max_value=30),
+        half=st.integers(min_value=0, max_value=10**12 // 2 - 1),
+        modulus=st.floats(min_value=0.5, max_value=45.0),
+        phase=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    )
+    def test_property_direct_equals_decimal_form(self, k, half, modulus, phase):
+        # an odd last digit keeps eps off every crossing point, so the order is strict
+        spectrum = order_spectrum(decompose(f"{k}.{2 * half + 1:012d}", "irrational"))
+        ladder = ladder_f(spectrum)
+        state = coherent_coefficients(cmath.rect(modulus, phase), ladder, build_mu_basis(spectrum))
+        assert bg_residual_direct(state, ladder) == bg_residual_direct_decimal(state, ladder)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -405,18 +409,17 @@ class TestResidual:
         ladder = ladder_f(spectrum)
         state = coherent_coefficients(1.0, ladder, build_mu_basis(spectrum))
         assert log_bg_residual(state, ladder) / math.log(10.0) < -1000.0
-        digits = []
+        bits = set()
+        exact_root = coherent._root
 
-        @contextlib.contextmanager
-        def recorded_context():
-            # the precision the body set, read when the body leaves the context
-            with decimal.localcontext() as ctx:
-                yield ctx
-                digits.append(ctx.prec)
+        def recorded_root(value, precision):
+            # the precision the body chose, read from every root it takes
+            bits.add(precision)
+            return exact_root(value, precision)
 
-        monkeypatch.setattr(coherent, "localcontext", recorded_context)
+        monkeypatch.setattr(coherent, "_root", recorded_root)
         assert bg_residual_direct(state, ladder) == 0.0
-        assert len(digits) == 1 and digits[0] <= 380
+        assert len(bits) == 1 and max(bits) <= 1271  # 380 digits
 
     def test_residual_grows_with_amplitude(self, ladder_3pi, mu_3pi):
         values = [
