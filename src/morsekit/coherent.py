@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -42,43 +42,34 @@ _MOMENT_TOL = 1.0e-7
 
 @dataclass(frozen=True)
 class LadderSpectrum:
-    """Ladder strengths f(0..xi) and running log factorials.
+    """Ladder strengths f(0..xi) and the running log factorials computed from them.
 
     ``f[i]`` is the energy of level mu_i above mu_0, so f[0] = 0 and f is
-    strictly increasing.  ``log_factorials[i]`` is ln([f(i)]!) with the
-    convention [f(0)]! = 1; the factorial of the would-be rung xi + 1 does
-    not exist because f(xi + 1) = 0 closes the ladder.
+    strictly increasing; any other f raises ValueError before a log is
+    taken.  ``log_factorials[i]`` is ln([f(i)]!) with the convention
+    [f(0)]! = 1; the factorial of the would-be rung xi + 1 does not exist
+    because f(xi + 1) = 0 closes the ladder.
     """
 
     f: np.ndarray
-    log_factorials: np.ndarray
+    log_factorials: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        f = np.asarray(self.f, dtype=float)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "log_factorials", np.asarray(self.log_factorials, dtype=float))
+        # a private read-only copy, so that no caller can change f under its log factorials
+        f = np.array(self.f, dtype=float)
         if f.ndim != 1 or f.size < 1 or f[0] != 0.0:
             raise ValueError("f must be a 1D array starting at exactly 0")
-        if f.size > 1 and not np.all(np.diff(f) > 0.0):
+        if not np.all(np.diff(f) > 0.0):
             raise ValueError("ladder strengths must be strictly increasing")
-        if self.log_factorials.shape != f.shape or self.log_factorials[0] != 0.0:
-            raise ValueError("log_factorials must match f and start at 0")
+        log_factorials = np.zeros_like(f)
+        log_factorials[1:] = np.cumsum(np.log(f[1:]))
+        f.flags.writeable = log_factorials.flags.writeable = False
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "log_factorials", log_factorials)
 
     @property
     def xi(self) -> int:
         return self.f.size - 1
-
-    @classmethod
-    def from_strengths(cls, f) -> "LadderSpectrum":
-        f = np.asarray(f, dtype=float)
-        if f.size < 1:
-            raise ValueError("empty ladder")
-        log_fact = np.zeros_like(f)
-        if f.size > 1:
-            # a zero or negative gap logs to -inf or nan; the constructor rejects it
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_fact[1:] = np.cumsum(np.log(f[1:]))
-        return cls(f, log_fact)
 
 
 def ladder_f(spectrum: OrderedSpectrum) -> LadderSpectrum:
@@ -101,15 +92,15 @@ def ladder_f(spectrum: OrderedSpectrum) -> LadderSpectrum:
             f"strengths {low!r} and {high!r}, not increasing in double precision: the keys cross "
             f"at epsilon = {Fraction(a2 - a, 2 * (b - b2))}, within double rounding of p = {spectrum.parameter.p_text}"
         )
-    return LadderSpectrum.from_strengths(f)
+    return LadderSpectrum(f)
 
 
 @dataclass(frozen=True)
 class CoherentState:
     """Expansion sum_n c_n |mu_n> with c_n = Psi^n / sqrt(N(Psi) [f(n)]!).
 
-    ``normalization`` is N(Psi) = sum |Psi|^(2n) / [f(n)]!, also carried as
-    ``log_normalization`` because N alone overflows for large |Psi|.
+    ``log_normalization`` is ln N(Psi), N(Psi) = sum |Psi|^(2n) / [f(n)]!,
+    which itself overflows doubles for large |Psi|.
     """
 
     psi: complex
@@ -120,10 +111,6 @@ class CoherentState:
     @property
     def xi(self) -> int:
         return self.coefficients.size - 1
-
-    @property
-    def normalization(self) -> float:
-        return math.exp(self.log_normalization)
 
     def coefficient_matrix(self, dim: int) -> np.ndarray:
         """sum_n c_n C(mu_n) as a (dim x dim) matrix, from the basis columns.

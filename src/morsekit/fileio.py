@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .coherent import CoherentState, SweepPoint
-from .spectrum import ACCIDENTAL, DOUBLET, SINGLET, OrderedSpectrum, _members
+from .spectrum import ACCIDENTAL, DOUBLET, SINGLET, OrderedSpectrum
 from .states import MixingCoefficients, ScalarField2D
 
 __all__ = [
@@ -60,29 +60,12 @@ _LEVEL_FIELDS = ("index", "n_list", "m_list", "multiplicity", "classification", 
 
 
 def _level_rows(spectrum: OrderedSpectrum, only_classification: str | None = None):
-    """One tuple of cells per level, in the order of ``_LEVEL_FIELDS``, read from the spectrum's columns.
-
-    A singlet or doublet is its run's one key, read straight from the n, m
-    columns; only a merged run builds its members.
-    """
+    """One tuple of cells per level, in the order of ``_LEVEL_FIELDS``, from the spectrum's level rows."""
     eps = spectrum.parameter.epsilon
-    energies = spectrum.shifted_energies()
-    # scaled_energy rounds -((a + 2 eps b) + 2 eps^2), which is the shifted energy minus 2 eps^2, bit for bit
-    scaled = energies - 2.0 * eps * eps
-    bounds = spectrum.bounds.tolist()
-    n, m = spectrum.n.tolist(), spectrum.m.tolist()
-    a, b = (col[spectrum.bounds[:-1]].tolist() for col in (spectrum.a, spectrum.b))
-    rows = zip(bounds, bounds[1:], a, b, energies.tolist(), scaled.tolist())
-    for i, (lo, hi, a_i, b_i, energy, scaled_i) in enumerate(rows):
-        if hi - lo > 1:
-            members = _members(zip(n[lo:hi], m[lo:hi]))
-            label, n_list, m_list = ACCIDENTAL, [q for q, _ in members], [q for _, q in members]
-        elif n[lo] == m[lo]:
-            label, n_list, m_list = SINGLET, [n[lo]], [n[lo]]
-        else:
-            label, n_list, m_list = DOUBLET, [n[lo], m[lo]], [m[lo], n[lo]]
+    for i, (n_list, m_list, label, a, b, shifted) in enumerate(spectrum._fields(0, spectrum.xi + 1)):
         if only_classification is None or label == only_classification:
-            yield i, n_list, m_list, len(n_list), label, a_i, b_i, energy, scaled_i
+            # scaled_energy's own arithmetic: the shifted energy minus 2 eps^2
+            yield i, n_list, m_list, len(n_list), label, a, b, shifted, shifted - 2.0 * eps * eps
 
 
 def _level_csv(index, n_list, m_list, multiplicity, classification, a, b, shifted, scaled) -> str:

@@ -238,22 +238,6 @@ def _check_quanta(k: int, n: int, m: int) -> None:
         raise ValueError(f"quantum numbers (n, m) = ({n}, {m}) out of range 0..{k}")
 
 
-def scaled_energy(k: int, epsilon: float, n: int, m: int) -> float:
-    """Dimensionless bound-state energy -[(k-n)^2 + (k-m)^2 + 2 eps (2k-n-m) + 2 eps^2]."""
-    _check_quanta(k, n, m)
-    return -((k - n) ** 2 + (k - m) ** 2 + 2.0 * epsilon * (2 * k - n - m) + 2.0 * epsilon * epsilon)
-
-
-def shifted_energy(k: int, epsilon: float, n: int, m: int) -> float:
-    """Scaled energy with the common -2 eps^2 offset removed: -(a + 2 eps b).
-
-    The shift is state independent, so level ordering and degeneracy are
-    unchanged; the top of the spectrum (n = m = k) sits exactly at zero.
-    """
-    _check_quanta(k, n, m)
-    return -((k - n) ** 2 + (k - m) ** 2 + 2.0 * epsilon * (2 * k - n - m))
-
-
 @dataclass(frozen=True, order=True)
 class LevelKey:
     """Integer invariants of a level: a = (k-n)^2 + (k-m)^2, b = 2k - n - m."""
@@ -266,6 +250,21 @@ def level_key(k: int, n: int, m: int) -> LevelKey:
     """Integer key (a, b) of the state (n, m); swap-symmetric by construction."""
     _check_quanta(k, n, m)
     return LevelKey((k - n) ** 2 + (k - m) ** 2, 2 * k - n - m)
+
+
+def shifted_energy(k: int, epsilon: float, n: int, m: int) -> float:
+    """Scaled energy with the common -2 eps^2 offset removed: -(a + 2 eps b).
+
+    The shift is state independent, so level ordering and degeneracy are
+    unchanged; the top of the spectrum (n = m = k) sits exactly at zero.
+    """
+    key = level_key(k, n, m)
+    return -(key.a + 2.0 * epsilon * key.b)
+
+
+def scaled_energy(k: int, epsilon: float, n: int, m: int) -> float:
+    """Dimensionless bound-state energy -[(k-n)^2 + (k-m)^2 + 2 eps (2k-n-m) + 2 eps^2]."""
+    return shifted_energy(k, epsilon, n, m) - 2.0 * epsilon * epsilon
 
 
 @dataclass(frozen=True)
@@ -452,8 +451,9 @@ class LevelSequence(Sequence):
 
     def _build(self, start: int, stop: int) -> None:
         """Build the records of levels start .. stop - 1 not built yet."""
-        for i, (members, label, a, b, energy) in zip(range(start, stop), self.spectrum._fields(start, stop)):
+        for i, (n_list, m_list, label, a, b, energy) in zip(range(start, stop), self.spectrum._fields(start, stop)):
             if self._records[i] is None:
+                members = tuple(zip(n_list, m_list))
                 self._records[i] = LevelRecord(LevelKey(a, b), members, len(members), energy, label)
 
 
@@ -492,18 +492,22 @@ class OrderedSpectrum:
         return energies
 
     def _fields(self, start: int, stop: int):
-        """(members, classification, a, b, shifted energy) of each level start .. stop - 1, from the columns."""
+        """(n_list, m_list, classification, a, b, shifted energy) of each level start .. stop - 1.
+
+        The one source of level rows; only a merged level sorts its members.
+        """
         bounds = self.bounds[start : stop + 1].tolist()
         first = bounds[0]
         n, m, a, b = (col[first : bounds[-1]].tolist() for col in (self.n, self.m, self.a, self.b))
         for lo, hi, energy in zip(bounds, bounds[1:], self._energies[start:stop].tolist()):
             j = lo - first
             if hi - lo > 1:
-                yield _members(zip(n[j : hi - first], m[j : hi - first])), ACCIDENTAL, a[j], b[j], energy
+                n_list, m_list = map(list, zip(*_members(zip(n[j : hi - first], m[j : hi - first]))))
+                yield n_list, m_list, ACCIDENTAL, a[j], b[j], energy
             elif n[j] == m[j]:
-                yield ((n[j], n[j]),), SINGLET, a[j], b[j], energy
+                yield [n[j]], [n[j]], SINGLET, a[j], b[j], energy
             else:
-                yield ((n[j], m[j]), (m[j], n[j])), DOUBLET, a[j], b[j], energy
+                yield [n[j], m[j]], [m[j], n[j]], DOUBLET, a[j], b[j], energy
 
     @functools.cached_property
     def _member_index(self) -> dict[tuple[int, int], int]:

@@ -94,9 +94,6 @@ class MixingCoefficients:
     def equal_mix(cls) -> "MixingCoefficients":
         return cls(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
 
-    def swapped(self) -> "MixingCoefficients":
-        return MixingCoefficients(self.delta, self.gamma)
-
 
 @dataclass(frozen=True)
 class MuState:
@@ -442,11 +439,6 @@ class MorseBasis:
         """ln(N_n / sqrt(beta)) of every bound mode n, at index n (the bound modes are 0..K)."""
         return np.array([_log_norm(self.nu, n) for n in self.bound_modes()])
 
-    def log_norm_1d(self, n: int) -> float:
-        """ln N_n with N_n = sqrt(beta (nu - 2n - 1) n! / Gamma(nu - n))."""
-        self._check_mode(n)
-        return 0.5 * math.log(self.beta) + float(self._log_norms[n])
-
     # -- pointwise evaluation -----------------------------------------------
 
     def _envelope(self, modes: np.ndarray, log_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -737,7 +729,8 @@ def _expand(basis: MorseBasis, state) -> tuple[np.ndarray, list[int]]:
     _check_well(basis, state)
     c = matrix(basis.k + 1)
     used = np.nonzero(np.any(c != 0.0, axis=1) | np.any(c != 0.0, axis=0))[0].tolist()
-    _check_modes(basis, used, state)
+    for n in used:
+        basis._check_mode(n, state.index if isinstance(state, MuState) else None)
     return c, used
 
 
@@ -746,12 +739,6 @@ def _check_well(basis: MorseBasis, state) -> None:
     if own != basis.principal:
         raise ValueError(f"state was built for p = {own.p_text!r} ({own.mode}), "
                          f"but the basis is p = {basis.principal.p_text!r} ({basis.principal.mode})")
-
-
-def _check_modes(basis: MorseBasis, modes, state) -> None:
-    level = state.index if isinstance(state, MuState) else None
-    for n in modes:
-        basis._check_mode(n, level)
 
 
 def density_grid(basis: MorseBasis, state, grid: GridSpec | None = None) -> ScalarField2D:
@@ -855,18 +842,12 @@ def _pair_columns(basis: MorseBasis, states: list) -> tuple:
 def _swap_pairs(basis: MorseBasis, state) -> tuple[list, list, list, list]:
     """A state as lists n, m, gamma, delta of swap pairs gamma |n, m> + delta |m, n>; at least one pair.
 
-    A level state is one pair read from its fields: (n, n, 1, 0) if
-    diagonal, else (n, m, gamma, delta).  Any other state, a coherent one
-    included, goes through its coefficient matrix C, one pair per unordered
-    {a, b} with a nonzero entry: gamma = C[a, b], delta = C[b, a], or 0 if
-    a == b.  A state with no term is one zero pair.  The modes used are
-    checked as ``_expand`` checks them.
+    The state goes through its coefficient matrix C (``_expand``), one pair
+    per unordered {a, b} with a nonzero entry: gamma = C[a, b],
+    delta = C[b, a], or 0 if a == b.  A level state is thus its one pair
+    (n, m, gamma, delta), or (n, n, 1, 0) if diagonal.  A state with no term
+    is one zero pair.
     """
-    if isinstance(state, MuState):
-        _check_modes(basis, (state.m, state.n), state)
-        if state.is_diagonal:
-            return [state.n], [state.n], [1.0 + 0.0j], [0.0j]
-        return [state.n], [state.m], [state.coeffs.gamma], [state.coeffs.delta]
     c, _ = _expand(basis, state)
     n, m = np.nonzero(np.tril((c != 0.0) | (c.T != 0.0)))
     gamma, delta = c[n, m], np.where(n == m, 0.0j, c[m, n])

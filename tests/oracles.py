@@ -37,8 +37,6 @@ from morsekit import (
     gram_matrix,
     level_key,
     log_bg_residual,
-    scaled_energy,
-    shifted_energy,
 )
 from morsekit.coherent import _axis_expectations
 from morsekit.specfun import laguerre_signed_log, log_gamma
@@ -110,11 +108,17 @@ def laguerre_signed_log_single(n, alpha, x):
 _LOG_Z_CAP, _LOG_EXP_CAP = 130.0, 705.0
 
 
+def log_norm_1d(basis, n):
+    """ln N_n with N_n = sqrt(beta (nu - 2n - 1) n! / Gamma(nu - n)), from the basis's cached logs."""
+    basis._check_mode(n)
+    return 0.5 * math.log(basis.beta) + float(basis._log_norms[n])
+
+
 def _mode_envelope(basis, n, log_z):
     log_z = np.minimum(log_z, _LOG_Z_CAP)
     z = np.exp(log_z)
     with np.errstate(over="ignore"):
-        return z, basis.log_norm_1d(n) + (basis.p - n) * log_z - 0.5 * z
+        return z, log_norm_1d(basis, n) + (basis.p - n) * log_z - 0.5 * z
 
 
 def mode_values_loop(basis, n, x):
@@ -484,13 +488,23 @@ def axis_expectations_einsum(c, tables, axis):
     )
 
 
+def shifted_energy_expr(k, epsilon, n, m):
+    """shifted_energy as one expression of the quanta, not through level_key."""
+    return -((k - n) ** 2 + (k - m) ** 2 + 2.0 * epsilon * (2 * k - n - m))
+
+
+def scaled_energy_expr(k, epsilon, n, m):
+    """scaled_energy as one expression of the quanta, not through shifted_energy."""
+    return -((k - n) ** 2 + (k - m) ** 2 + 2.0 * epsilon * (2 * k - n - m) + 2.0 * epsilon * epsilon)
+
+
 def enumerate_levels_loop(param):
     """enumerate_levels by one pass over all (k+1)^2 states, grouped in a dict.
 
     Integer and rational modes group by the exact level value a D + 2 N b
     (epsilon = N / D), irrational mode by the key (a, b).  Each group is
-    sorted canonically, members[0] gives the key and energy, and the levels
-    are sorted by (-value, a, b).
+    sorted canonically, members[0] gives the key and energy, computed here
+    from the quanta, and the levels are sorted by (-value, a, b).
     """
     k = param.k
     frac = param.ratio if param.mode == RATIONAL else param.epsilon_exact
@@ -511,12 +525,13 @@ def enumerate_levels_loop(param):
             label = DOUBLET
         else:
             label = ACCIDENTAL
+        n, m = members[0]
         records.append(
             LevelRecord(
-                key=level_key(k, *members[0]),
+                key=LevelKey((k - n) ** 2 + (k - m) ** 2, 2 * k - n - m),
                 members=tuple(members),
                 multiplicity=len(members),
-                shifted_energy=shifted_energy(k, param.epsilon, *members[0]),
+                shifted_energy=shifted_energy_expr(k, param.epsilon, n, m),
                 classification=label,
             )
         )
@@ -734,23 +749,25 @@ def write_density_csv_repr(path, field):
             out.write("".join(f"{x},{y},{v!r}\n" for y, v in zip(ys, row.tolist())))
 
 
-def write_spectrum_json_dumps(path, spectrum, only_classification=None):
-    """write_spectrum_json as one json.dumps(indent=1) of the whole document, rows from the records."""
-    param = spectrum.parameter
-    k, eps = param.k, param.epsilon
+def _spectrum_rows(param, only_classification):
+    """The rows of the level tables, read from enumerate_levels_loop, not from the library's level rows."""
     fields = ("index", "n_list", "m_list", "multiplicity", "classification", "a", "b",
               "shifted_energy", "scaled_energy")
-    levels = []
-    for i, rec in enumerate(spectrum.levels):
+    for i, rec in enumerate(enumerate_levels_loop(param)):
         if only_classification is not None and rec.classification != only_classification:
             continue
-        row = (i, [n for n, _ in rec.members], [m for _, m in rec.members], rec.multiplicity,
-               rec.classification, rec.key.a, rec.key.b, rec.shifted_energy, scaled_energy(k, eps, *rec.members[0]))
-        levels.append(dict(zip(fields, row)))
+        row = (i, [n for n, _ in rec.members], [m for _, m in rec.members], rec.multiplicity, rec.classification,
+               rec.key.a, rec.key.b, rec.shifted_energy, scaled_energy_expr(param.k, param.epsilon, *rec.members[0]))
+        yield dict(zip(fields, row))
+
+
+def write_spectrum_json_dumps(path, spectrum, only_classification=None):
+    """write_spectrum_json as one json.dumps(indent=1) of the whole document."""
+    param = spectrum.parameter
     doc = {
         "epsilon": param.epsilon,
         "k": param.k,
-        "levels": levels,
+        "levels": list(_spectrum_rows(param, only_classification)),
         "mode": param.mode,
         "p_text": param.p_text,
         "xi": spectrum.xi,
@@ -769,16 +786,10 @@ def _csv_cell(value):
 
 
 def write_spectrum_csv_cells(path, spectrum, only_classification=None):
-    """write_spectrum_csv with every cell of the record rows sent through an isinstance dispatch."""
-    param = spectrum.parameter
-    k, eps = param.k, param.epsilon
+    """write_spectrum_csv with every cell of the rows sent through an isinstance dispatch."""
     lines = ["index,n_list,m_list,multiplicity,classification,a,b,shifted_energy,scaled_energy"]
-    for i, rec in enumerate(spectrum.levels):
-        if only_classification is not None and rec.classification != only_classification:
-            continue
-        row = (i, [n for n, _ in rec.members], [m for _, m in rec.members], rec.multiplicity,
-               rec.classification, rec.key.a, rec.key.b, rec.shifted_energy, scaled_energy(k, eps, *rec.members[0]))
-        lines.append(",".join(map(_csv_cell, row)))
+    for row in _spectrum_rows(spectrum.parameter, only_classification):
+        lines.append(",".join(map(_csv_cell, row.values())))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

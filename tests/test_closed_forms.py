@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from oracles import diagonal_mean_x, ground_uncertainty_product, mode_value_mpmath
 
-from morsekit import MorseBasis, MuState, decompose, moments, pi_multiple_text
+from morsekit import (
+    MorseBasis,
+    MuState,
+    PhysicalParams,
+    decompose,
+    depth_for_principal,
+    moments,
+    pi_multiple_text,
+)
 
 
 @pytest.mark.parametrize(
@@ -38,12 +46,23 @@ def test_ground_state_uncertainty_product():
     assert report.product > 0.25
 
 
-@pytest.mark.parametrize("text", [pi_multiple_text(3.0), "12.3717"])
-def test_diagonal_mean_momentum_squared(text):
+@pytest.mark.parametrize(
+    "text, physical",
+    [(pi_multiple_text(3.0), None), ("12.3717", None), ("12.3717", (1.7, 2.5, 0.8))],
+    ids=[pi_multiple_text(3.0), "12.3717", "12.3717-mass1.7-beta2.5-hbar0.8"],
+)
+def test_diagonal_mean_momentum_squared(text, physical):
     # Hellmann-Feynman in the mass: <p^2> = hbar^2 beta^2 (n + 1/2)(p - n)
-    basis = MorseBasis(decompose(text, "irrational"))
-    assert (basis.physical.hbar, basis.beta) == (1.0, 1.0)
+    param = decompose(text, "irrational")
+    if physical is None:
+        basis = MorseBasis(param)
+        assert (basis.physical.hbar, basis.beta) == (1.0, 1.0)
+    else:
+        mass, beta, hbar = physical
+        depth = depth_for_principal(param.p_value, mass, beta, hbar)
+        basis = MorseBasis(param, PhysicalParams(mass, depth, beta, hbar))
+    scale = (basis.physical.hbar * basis.beta) ** 2
     for n in basis.bound_modes():
-        exact = (n + 0.5) * (basis.p - n)
+        exact = scale * (n + 0.5) * (basis.p - n)
         report = moments(basis, MuState(0, n, n), axis="x")
         assert abs(report.mean_p2 - exact) <= 1e-12 * abs(exact), (n, report.mean_p2, exact)

@@ -71,16 +71,24 @@ class TestLadder:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            LadderSpectrum(np.array([1.0, 2.0]), np.array([0.0, 0.0]))  # f[0] != 0
+            LadderSpectrum(np.array([1.0, 2.0]))  # f[0] != 0
         with pytest.raises(ValueError):
-            LadderSpectrum(np.array([0.0, 2.0, 1.0]), np.array([0.0, 0.0, 0.0]))
-        with pytest.raises(ValueError):
-            LadderSpectrum(np.array([0.0, 1.0]), np.array([0.0]))  # shape mismatch
+            LadderSpectrum(np.array([0.0, 2.0, 1.0]))
         for gaps in ([0.0, 0.0, 1.0], [0.0, -1.0, 1.0]):  # zero gap, negative gap
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="strictly increasing"):
-                    LadderSpectrum.from_strengths(gaps)
+                    LadderSpectrum(gaps)
+
+    def test_strengths_are_a_private_read_only_copy(self):
+        f = np.array([0.0, 1.0, 3.0])
+        ladder = LadderSpectrum(f)
+        f[1] = 5.0  # the caller's array, not the ladder's
+        assert ladder.f.tolist() == [0.0, 1.0, 3.0]
+        assert ladder.log_factorials.tolist() == [0.0, 0.0, math.log(3.0)]
+        for array in (ladder.f, ladder.log_factorials):
+            with pytest.raises(ValueError, match="read-only"):
+                array[1] = 2.0
 
     @pytest.mark.parametrize(
         "text, head, crossing",
@@ -156,7 +164,7 @@ class TestCoefficients:
             coherent_coefficients(psi, ladder_3pi, mu_3pi)
 
     def test_mismatched_ladder_rejected(self, mu_3pi):
-        short = LadderSpectrum.from_strengths([0.0, 1.0, 3.0])
+        short = LadderSpectrum([0.0, 1.0, 3.0])
         with pytest.raises(ValueError):
             coherent_coefficients(1.0, short, mu_3pi)
 
@@ -210,7 +218,7 @@ class TestNormalizationParity:
 
     def test_tied_maxima(self, mu_3pi):
         # f(i) = i makes [f(n)]! = n!, so |Psi| = 1 ties the n = 0 and n = 1 terms at 0
-        ladder = LadderSpectrum.from_strengths(np.arange(mu_3pi.xi + 1.0))
+        ladder = LadderSpectrum(np.arange(mu_3pi.xi + 1.0))
         for psi in (1.0, -1.0, 1j, complex(math.cos(0.3), math.sin(0.3))):
             terms = self._terms(psi, ladder)
             assert np.count_nonzero(terms == terms.max()) == 2
@@ -227,7 +235,7 @@ class TestNormalizationParity:
             else:
                 gaps = rng.integers(1, 4, mu_3pi.xi).astype(float)
                 psi = float(rng.choice([0.5, 1.0, 2.0, 3.0])) * 1j ** int(rng.integers(4))
-            ladder = LadderSpectrum.from_strengths(np.concatenate([[0.0], np.cumsum(gaps)]))
+            ladder = LadderSpectrum(np.concatenate([[0.0], np.cumsum(gaps)]))
             terms = self._terms(psi, ladder)
             ties += np.count_nonzero(terms == terms.max()) > 1
             state = coherent_coefficients(psi, ladder, mu_3pi)

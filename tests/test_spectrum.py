@@ -18,6 +18,8 @@ from oracles import (
     enumerate_levels_loop,
     order_spectrum_float,
     pi_multiple_text_mpmath,
+    scaled_energy_expr,
+    shifted_energy_expr,
 )
 
 from morsekit import spectrum
@@ -237,6 +239,23 @@ class TestEnergies:
             assert shifted_energy(k, eps, n, m) == pytest.approx(
                 -(key.a + 2.0 * eps * key.b), rel=4e-16
             )
+
+    def test_energies_match_the_expressions_bit_for_bit(self):
+        # 120 000 seeded (k, n, m, eps), eps in {0, 1/2}, near 1e-300 (subnormal 5e-324 included) or uniform
+        rng = random.Random(36)
+        tiny = [5e-324, 1e-300, 2.5e-301, 7.3e-299]
+        for case in range(120_000):
+            kind = case % 4
+            if kind == 0:
+                eps = rng.choice([0.0, 0.5])
+            elif kind == 1:
+                eps = rng.choice(tiny) if case % 8 == 1 else 10.0 ** rng.uniform(-308.0, -290.0)
+            else:
+                eps = rng.random()
+            k = rng.randint(0, 400)
+            n, m = rng.randint(0, k), rng.randint(0, k)
+            assert shifted_energy(k, eps, n, m).hex() == shifted_energy_expr(k, eps, n, m).hex(), (k, eps, n, m)
+            assert scaled_energy(k, eps, n, m).hex() == scaled_energy_expr(k, eps, n, m).hex(), (k, eps, n, m)
 
     def test_rejects_out_of_range_quanta(self):
         with pytest.raises(ValueError):
