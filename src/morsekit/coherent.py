@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import QuadratureAccuracyError
 from .spectrum import OrderedSpectrum
-from .states import ModeTables, MorseBasis, MuBasis, QuadratureConfig, _expand
+from .states import ModeTables, MorseBasis, MuBasis, QuadratureConfig, _columns, _expand, _matrix
 
 __all__ = [
     "LadderSpectrum",
@@ -40,7 +40,7 @@ __all__ = [
 _MOMENT_TOL = 1.0e-7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LadderSpectrum:
     """Ladder strengths f(0..xi) and the running log factorials computed from them.
 
@@ -95,7 +95,7 @@ def ladder_f(spectrum: OrderedSpectrum) -> LadderSpectrum:
     return LadderSpectrum(f)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoherentState:
     """Expansion sum_n c_n |mu_n> with c_n = Psi^n / sqrt(N(Psi) [f(n)]!).
 
@@ -112,27 +112,17 @@ class CoherentState:
     def xi(self) -> int:
         return self.coefficients.size - 1
 
-    def coefficient_matrix(self, dim: int) -> np.ndarray:
-        """sum_n c_n C(mu_n) as a (dim x dim) matrix, from the basis columns.
-
-        Level n adds c_n gamma_n at (n_n, m_n) and, unless diagonal, c_n
-        delta_n at (m_n, n_n), in level order.  Levels whose c_n is an exact
-        zero are skipped: each of their terms is a signed zero, which leaves
-        every sum unchanged.
-        """
-        basis = self.basis
-        n, m = basis.spectrum.n, basis.spectrum.m
-        if n.max() >= dim:
-            raise ValueError(f"level states up to n = {n.max()} do not fit in dimension {dim}")
+    @property
+    def pairs(self) -> tuple[tuple[int, int, complex, complex], ...]:
+        """One swap pair (n_i, m_i, c_i gamma_i, c_i delta_i) per level whose c_i is not an exact 0, in level order."""
         live = np.flatnonzero(self.coefficients)
-        n, m = n[live], m[live]
-        keep = np.column_stack([np.ones(live.size, dtype=bool), n != m]).ravel()
-        rows = np.column_stack([n, m]).ravel()[keep]
-        cols = np.column_stack([m, n]).ravel()[keep]
-        values = np.column_stack([basis.gamma[live], basis.delta[live]]).ravel()[keep]
-        c = np.zeros((dim, dim), dtype=complex)
-        np.add.at(c, (rows, cols), np.repeat(self.coefficients[live], 2)[keep] * values)
-        return c
+        c, basis = self.coefficients[live], self.basis
+        return tuple(zip(basis.spectrum.n[live].tolist(), basis.spectrum.m[live].tolist(),
+                         (c * basis.gamma[live]).tolist(), (c * basis.delta[live]).tolist()))
+
+    def coefficient_matrix(self, dim: int) -> np.ndarray:
+        """sum_n c_n C(mu_n) as a (dim x dim) matrix, from ``pairs``."""
+        return _matrix(_columns(self.pairs), dim)
 
 
 def coherent_coefficients(psi, ladder: LadderSpectrum, basis: MuBasis) -> CoherentState:

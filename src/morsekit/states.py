@@ -119,20 +119,15 @@ class MuState:
         return self.n == self.m
 
     @property
-    def entries(self) -> tuple[tuple[int, int, complex], ...]:
-        """Nonzero product-basis terms (n, m, C[n, m]): (n, n, 1) or (n, m, gamma), (m, n, delta)."""
-        if self.is_diagonal:
-            return ((self.n, self.n, 1.0 + 0.0j),)
-        return ((self.n, self.m, self.coeffs.gamma), (self.m, self.n, self.coeffs.delta))
+    def pairs(self) -> tuple[tuple[int, int, complex, complex], ...]:
+        """The state as swap pairs (n, m, gamma, delta): ((n, m, gamma, delta),), or ((n, n, 1, 0),) if diagonal."""
+        if self.coeffs is None:
+            return ((self.n, self.n, 1.0 + 0.0j, 0.0j),)
+        return ((self.n, self.m, self.coeffs.gamma, self.coeffs.delta),)
 
     def coefficient_matrix(self, dim: int) -> np.ndarray:
         """(dim x dim) complex matrix C with the state written as sum C[n, m] |n, m>."""
-        if self.n >= dim:
-            raise ValueError(f"state {self!r} does not fit in dimension {dim}")
-        c = np.zeros((dim, dim), dtype=complex)
-        for n, m, value in self.entries:
-            c[n, m] = value
-        return c
+        return _matrix(_columns(self.pairs), dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,7 +243,7 @@ class GridSpec:
         return self.y_min + (np.arange(self.ny) + 0.5) * self.dy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarField2D:
     """Real field sampled at the cell centers of a GridSpec; values[i, j] = f(x_i, y_j)."""
 
@@ -358,7 +353,7 @@ class QuadratureConfig:
         return x, w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeTables:
     """1D mode matrices on a fixed quadrature rule.
 
@@ -714,40 +709,41 @@ def eigenfunction(basis: MorseBasis, n: int, m: int, x, y) -> np.ndarray:
     return basis.mode_values(n, x) * basis.mode_values(m, y)
 
 
-def _expand(basis: MorseBasis, state) -> tuple[np.ndarray, list[int]]:
-    """Coefficient matrix C of a state over the product basis, and the modes C uses.
+def _columns(pairs) -> tuple:
+    """Swap pairs (n, m, gamma, delta) as arrays n, m (intp) and gamma, delta (complex)."""
+    n, m, gamma, delta = zip(*pairs) if pairs else [()] * 4
+    return np.array(n, np.intp), np.array(m, np.intp), np.array(gamma, complex), np.array(delta, complex)
 
-    Every used mode must be bound: the mode tables only hold bound modes, so
-    a state that references an unbound one raises ValueError rather than
-    coming out as silent zeros.  A coherent state carries the well its
-    levels were ordered in (``state.basis.parameter``); it must be this
-    basis's well, or the result would describe a state of another well.
+
+def _matrix(columns, dim: int) -> np.ndarray:
+    """(dim x dim) matrix C of swap pairs (n, m, gamma, delta): gamma at C[n, m], delta at C[m, n] off the diagonal.
+
+    One np.add.at in pair order; a pair with a mode at or above ``dim`` raises ValueError.
     """
-    matrix = getattr(state, "coefficient_matrix", None)
-    if matrix is None:
-        raise TypeError(f"{type(state).__name__} cannot be expanded over the product basis")
-    _check_well(basis, state)
-    c = matrix(basis.k + 1)
-    used = np.nonzero(np.any(c != 0.0, axis=1) | np.any(c != 0.0, axis=0))[0].tolist()
-    for n in used:
-        basis._check_mode(n, state.index if isinstance(state, MuState) else None)
-    return c, used
+    n, m, gamma, delta = columns
+    top = max(n.max(initial=0), m.max(initial=0))
+    if top >= dim:
+        raise ValueError(f"swap pairs up to mode {top} do not fit in dimension {dim}")
+    keep = np.column_stack([np.ones(n.size, dtype=bool), n != m]).ravel()
+    at = (np.column_stack([n, m]).ravel()[keep], np.column_stack([m, n]).ravel()[keep])
+    c = np.zeros((dim, dim), dtype=complex)
+    np.add.at(c, at, np.column_stack([gamma, delta]).ravel()[keep])
+    return c
 
 
-def _check_well(basis: MorseBasis, state) -> None:
-    own = getattr(getattr(state, "basis", None), "parameter", basis.principal)
-    if own != basis.principal:
-        raise ValueError(f"state was built for p = {own.p_text!r} ({own.mode}), "
-                         f"but the basis is p = {basis.principal.p_text!r} ({basis.principal.mode})")
+def _expand(basis: MorseBasis, state) -> tuple[np.ndarray, list[int]]:
+    """Coefficient matrix C of a state over the product basis, and the modes C uses; see ``_pair_columns``."""
+    columns, _, used = _pair_columns(basis, [state])
+    return _matrix(columns, basis.k + 1), used
 
 
 def density_grid(basis: MorseBasis, state, grid: GridSpec | None = None) -> ScalarField2D:
     """|amplitude|^2 of a state sampled on a cell-centered grid.
 
-    ``state`` is anything exposing coefficient_matrix(dim): a MuState or a
-    coherent state.  Without an explicit grid, a square 400 x 400 grid over
-    the scanned support box is used.  The amplitude on the grid is
-    assembled from the 1D mode values, which is exact for product expansions.
+    ``state`` is a MuState or a coherent state (see ``_pair_columns``).
+    Without an explicit grid, a square 400 x 400 grid over the scanned
+    support box is used.  The amplitude on the grid is assembled from the
+    1D mode values, which is exact for product expansions.
     """
     if grid is None:
         lo, hi = basis.support_box()
@@ -764,10 +760,9 @@ def density_grid(basis: MorseBasis, state, grid: GridSpec | None = None) -> Scal
 def gram_matrix(basis: MorseBasis, states, quad: QuadratureConfig | None = None) -> np.ndarray:
     """Matrix of pairwise overlaps <s_i | s_j> on the exact overlap table.
 
-    Every state is a sum of swap pairs gamma |n, m> + delta |m, n>
-    (``_swap_pairs``; a list of level states is read from their fields in
-    one pass).  With <n, m | n', m'> = S[n, n'] S[m, m'], two pairs overlap
-    by A P + B Q, where
+    Every state is a sum of swap pairs gamma |n, m> + delta |m, n>, its
+    ``pairs``, read in one pass by ``_pair_columns``.  With
+    <n, m | n', m'> = S[n, n'] S[m, m'], two pairs overlap by A P + B Q, where
 
         A = conj(gamma) gamma' + conj(delta) delta',   P = S[n, n'] S[m, m'],
         B = conj(gamma) delta' + conj(delta) gamma',   Q = S[n, m'] S[m, n'].
@@ -779,7 +774,8 @@ def gram_matrix(basis: MorseBasis, states, quad: QuadratureConfig | None = None)
     straight into the complex result.  The imaginary half is skipped when
     every gamma and delta is real.  Peak memory is about the result plus one
     block's arrays.  A level state is one pair, so a list of them needs no
-    further step; otherwise each state's rows and columns are summed.
+    further step; otherwise each state's rows and columns are summed.  A
+    state with no term is one zero pair, so its row and column are zero.
 
     S is ``MorseBasis.overlap_table``; level states give max|G - I| below
     1e-10 at k = 45 and 60, eps down to 0.01.  ``quad`` is unused and kept
@@ -787,7 +783,7 @@ def gram_matrix(basis: MorseBasis, states, quad: QuadratureConfig | None = None)
     """
     s = basis.overlap_table()
     states = list(states)
-    n, m, gamma, delta, starts = _pair_columns(basis, states)
+    (n, m, gamma, delta), starts, _ = _pair_columns(basis, states)
     g = np.zeros((n.size, n.size), dtype=complex)
     # the real parts of A and B are u @ u.T and u @ u[:, [2, 3, 0, 1]].T, the
     # imaginary parts flip @ u[:, [1, 0, 3, 2]].T and flip @ u[:, [3, 2, 1, 0]].T
@@ -816,41 +812,37 @@ def gram_matrix(basis: MorseBasis, states, quad: QuadratureConfig | None = None)
 
 
 def _pair_columns(basis: MorseBasis, states: list) -> tuple:
-    """Columns n, m, gamma, delta of every swap pair of ``states``, and each state's first pair.
+    """The swap pairs of ``states`` as columns (n, m, gamma, delta), each state's first pair, and the used modes.
 
-    The first pairs are None when every state is one pair.  A list of level
-    states whose modes are all bound is read from the states' fields in one
-    pass; any other list goes state by state through ``_swap_pairs``, which
-    raises for the first state that fails, as it would alone.
+    One pass reads every state's ``pairs``: an object without them raises
+    TypeError, and a coherent state whose levels were ordered in another
+    well than the basis's raises ValueError naming both.  A state with no
+    pair counts as one zero pair; the first pairs are None when every state
+    is one pair.  The used modes, ascending, are those of pairs with a
+    nonzero gamma or delta.  The mode tables hold only bound modes, so the
+    first state that uses an unbound one raises ValueError, as it would alone.
     """
-    if states and all(isinstance(state, MuState) for state in states):
-        fields = [(x.n, x.m, 1.0, 0.0) if x.coeffs is None else (x.n, x.m, x.coeffs.gamma, x.coeffs.delta)
-                  for x in states]
-        n, m, gamma, delta = (np.array(column) for column in zip(*fields))
-        if n.dtype.kind in "iu" and m.dtype.kind in "iu" and n.max() <= basis.bound_modes()[-1]:
-            return n, m, gamma.astype(complex), delta.astype(complex), None
-    n, m, gamma, delta, starts = [], [], [], [], []
+    rows, starts = [], []
     for state in states:
-        starts.append(len(n))
-        for column, values in zip((n, m, gamma, delta), _swap_pairs(basis, state)):
-            column += values
-    n, m = (np.array(x, dtype=np.intp) for x in (n, m))
-    gamma, delta = (np.array(x, dtype=complex) for x in (gamma, delta))
-    return n, m, gamma, delta, None if len(n) == len(states) else starts
-
-
-def _swap_pairs(basis: MorseBasis, state) -> tuple[list, list, list, list]:
-    """A state as lists n, m, gamma, delta of swap pairs gamma |n, m> + delta |m, n>; at least one pair.
-
-    The state goes through its coefficient matrix C (``_expand``), one pair
-    per unordered {a, b} with a nonzero entry: gamma = C[a, b],
-    delta = C[b, a], or 0 if a == b.  A level state is thus its one pair
-    (n, m, gamma, delta), or (n, n, 1, 0) if diagonal.  A state with no term
-    is one zero pair.
-    """
-    c, _ = _expand(basis, state)
-    n, m = np.nonzero(np.tril((c != 0.0) | (c.T != 0.0)))
-    gamma, delta = c[n, m], np.where(n == m, 0.0j, c[m, n])
-    if not n.size:
-        return [0], [0], [0.0j], [0.0j]
-    return n.tolist(), m.tolist(), gamma.tolist(), delta.tolist()
+        pairs = getattr(state, "pairs", None)
+        if pairs is None:
+            raise TypeError(f"{type(state).__name__} cannot be expanded over the product basis")
+        own = getattr(getattr(state, "basis", None), "parameter", basis.principal)
+        if own is not basis.principal and own != basis.principal:
+            raise ValueError(f"state was built for p = {own.p_text!r} ({own.mode}), "
+                             f"but the basis is p = {basis.principal.p_text!r} ({basis.principal.mode})")
+        starts.append(len(rows))
+        rows += pairs or ((0, 0, 0.0j, 0.0j),)
+    n, m, gamma, delta = columns = _columns(rows)
+    live = (gamma != 0.0) | (delta != 0.0)
+    # not np.union1d: its first call imports numpy.ma, about 15 ms of each CLI process
+    used = np.flatnonzero(np.bincount(np.concatenate([n[live], m[live]]))).tolist()
+    top = basis.bound_modes()[-1]
+    if used and used[-1] > top:
+        # the first pair with an unbound mode belongs to the first state that uses one
+        owner = np.repeat(np.arange(len(states)), np.diff([*starts, n.size]))
+        i = owner[np.argmax(live & (np.maximum(n, m) > top))]
+        mine = live & (owner == i)
+        for q in sorted({*n[mine].tolist(), *m[mine].tolist()}):
+            basis._check_mode(q, states[i].index if isinstance(states[i], MuState) else None)
+    return columns, None if len(rows) == len(states) else starts, used

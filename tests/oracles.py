@@ -40,7 +40,7 @@ from morsekit import (
 )
 from morsekit.coherent import _axis_expectations
 from morsekit.specfun import laguerre_signed_log, log_gamma
-from morsekit.states import _expand, _log_norm, _swap_pairs
+from morsekit.states import _expand, _log_norm
 
 # Adjacent float energies closer than this many ulps are re-compared exactly.
 _ULP_WINDOW = 8
@@ -356,7 +356,10 @@ def residual_complex_mpf(state, ladder, dps=None):
 
 def mu_wavefunction(basis, state, x, y):
     """Complex amplitude of a level state at the given points: gamma psi_{n,m} + delta psi_{m,n}, or psi_{n,n}."""
-    return sum(value * eigenfunction(basis, n, m, x, y) for n, m, value in state.entries)
+    (n, m, gamma, delta), = state.pairs
+    if n == m:
+        return gamma * eigenfunction(basis, n, n, x, y)
+    return gamma * eigenfunction(basis, n, m, x, y) + delta * eigenfunction(basis, m, n, x, y)
 
 
 def overlap(basis, state_a, state_b):
@@ -405,6 +408,31 @@ def gram_matrix_pairs(basis, states):
     g = np.zeros((len(states), len(states)), dtype=complex)
     np.add.at(g, np.ix_(owner, owner), pair_gram)
     return g
+
+
+def _swap_pairs(basis, state):
+    """A state as lists n, m, gamma, delta of swap pairs gamma |n, m> + delta |m, n>; at least one pair.
+
+    The state goes through its coefficient matrix C (``_expand``), one pair
+    per unordered {a, b} with a nonzero entry: gamma = C[a, b],
+    delta = C[b, a], or 0 if a == b.  A level state is thus its one pair
+    (n, m, gamma, delta), or (n, n, 1, 0) if diagonal.  A state with no term
+    is one zero pair.
+    """
+    c, _ = _expand(basis, state)
+    n, m = np.nonzero(np.tril((c != 0.0) | (c.T != 0.0)))
+    gamma, delta = c[n, m], np.where(n == m, 0.0j, c[m, n])
+    if not n.size:
+        return [0], [0], [0.0j], [0.0j]
+    return n.tolist(), m.tolist(), gamma.tolist(), delta.tolist()
+
+
+def pair_columns_fields(states):
+    """The swap-pair columns n, m, gamma, delta of a list of level states, read from the states' fields."""
+    fields = [(x.n, x.m, 1.0, 0.0) if x.coeffs is None else (x.n, x.m, x.coeffs.gamma, x.coeffs.delta)
+              for x in states]
+    n, m, gamma, delta = (np.array(column) for column in zip(*fields))
+    return n, m, gamma.astype(complex), delta.astype(complex)
 
 
 def gram_matrix_swap_pairs(basis, states):

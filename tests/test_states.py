@@ -25,11 +25,13 @@ from oracles import (
     mu_wavefunction,
     overlap,
     overlap_table_loop,
+    pair_columns_fields,
     support_box_loop,
 )
 from scipy.integrate import quad as scipy_quad
 
 from morsekit import (
+    CoherentState,
     GridSpec,
     MixingCoefficients,
     ModeTables,
@@ -560,17 +562,31 @@ class TestGramMatrix:
         g = self._check(basis, states)
         assert np.max(np.abs(np.diag(g) - 1.0)) <= 1e-12
 
-    def test_object_with_only_a_coefficient_matrix(self, deep_well):
-        # unequal entries at (a, b) and (b, a), one without its partner, a diagonal entry, an empty state
+    def test_hand_built_coherent_states(self, deep_well):
+        # unequal gamma and delta, a pair without its partner, a singlet, and an all-zero state
         basis, mu = deep_well
+        spectrum = mu.spectrum
+        doublets = np.flatnonzero(spectrum.n != spectrum.m)
+        lone, mixed = int(doublets[3]), int(doublets[5])
+        singlet = int(np.flatnonzero(spectrum.n == spectrum.m)[1])
+        overrides = {4: MixingCoefficients.normalized(1j, 2.0), lone: MixingCoefficients.normalized(1.0, 0.0)}
+        levels = build_mu_basis(spectrum, mu.coeffs, overrides)
         rng = np.random.default_rng(25)
-        matrix = np.zeros((21, 21), dtype=complex)
-        matrix[3, 1], matrix[1, 3], matrix[7, 2], matrix[5, 5], matrix[0, 9] = rng.normal(size=5) + 1j * rng.normal(size=5)
-        matrix /= np.linalg.norm(matrix)
-        custom = types.SimpleNamespace(coefficient_matrix=lambda dim: matrix)
-        empty = types.SimpleNamespace(coefficient_matrix=lambda dim: np.zeros((dim, dim), dtype=complex))
-        g = self._check(basis, [custom, mu.states[2], empty, custom, mu.states[4]])
-        assert not np.any(g[2]) and not np.any(g[:, 2])
+        c = np.zeros(mu.xi + 1, dtype=complex)
+        picks = [mixed, lone, singlet, 4]  # level 4 keeps the fixture's override
+        c[picks] = rng.normal(size=4) + 1j * rng.normal(size=4)
+        c /= np.linalg.norm(c)
+        custom = CoherentState(0.5, c, 0.0, levels)
+        empty = CoherentState(0.5, np.zeros(mu.xi + 1, dtype=complex), 0.0, levels)
+        assert [pair[:2] for pair in custom.pairs] == [(spectrum.n[i], spectrum.m[i]) for i in sorted(picks)]
+        by_level = dict(zip(sorted(picks), custom.pairs))
+        assert by_level[mixed][2] != by_level[mixed][3] and by_level[lone][3] == 0.0
+        assert by_level[singlet][2] == c[singlet] and empty.pairs == ()
+        g = self._check(basis, [custom, levels.states[2], empty, custom, levels.states[lone], empty])
+        for i in (2, 5):
+            assert not np.any(g[i]) and not np.any(g[:, i])
+        assert g[0, 3] == pytest.approx(1.0, abs=1e-12)
+        assert g[4, 0] == pytest.approx(c[lone], abs=1e-12)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -653,6 +669,11 @@ class TestGramMatrix:
         coherent = coherent_coefficients(3.0, ladder_f(spectrum), mu)
         with pytest.raises(ValueError, match="dissociation threshold"):
             gram_matrix(basis, [mu.states[0], coherent])
+        # the first state that uses mode 4 is the one named
+        with pytest.raises(ValueError, match="level mu_14, which uses one"):
+            gram_matrix(basis, [mu.states[0], mu.states[14], coherent])
+        with pytest.raises(ValueError, match="so the states that use them are counted"):
+            gram_matrix(basis, [mu.states[0], coherent, mu.states[14]])
 
     def test_near_integer_p_rounded_to_the_threshold_is_not_called_integer(self):
         # p = 4 + 1e-31 rounds to 4.0, so mode 4 has a float gap of exactly 0, but p is not an integer
@@ -662,12 +683,45 @@ class TestGramMatrix:
             gram_matrix(basis, [MuState(0, 0, 0), MuState(14, 4, 4)])
 
     def test_object_without_a_coefficient_matrix_is_refused(self, basis_3pi):
-        with pytest.raises(TypeError, match="cannot be expanded"):
-            gram_matrix(basis_3pi, [MuState(0, 0, 0), object()])
+        # anything without swap pairs, a bare coefficient matrix included
+        matrix = types.SimpleNamespace(coefficient_matrix=lambda dim: np.eye(dim, dtype=complex))
+        for other in (object(), matrix):
+            with pytest.raises(TypeError, match="cannot be expanded"):
+                gram_matrix(basis_3pi, [MuState(0, 0, 0), other])
+
+    @pytest.mark.parametrize("text", [pi_multiple_text(3.0), "24.3717", "45.3717"])
+    def test_level_state_columns_match_their_fields(self, text):
+        # complex mixing and one override; every column bit for bit, and one pair per state
+        spectrum = order_spectrum(decompose(text, "irrational"))
+        doublet = int(np.flatnonzero(spectrum.n != spectrum.m)[3])
+        mu = build_mu_basis(spectrum, MixingCoefficients.normalized(0.6 - 0.2j, 0.3 + 0.7j),
+                            {doublet: MixingCoefficients.normalized(-1.0, 0.5j)})
+        columns, starts, used = states._pair_columns(MorseBasis(spectrum.parameter), list(mu.states))
+        for got, expected in zip(columns, pair_columns_fields(mu.states)):
+            assert got.dtype == expected.dtype and np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        assert starts is None and used == list(range(spectrum.parameter.k + 1))
 
     def test_empty_state_list(self, basis_3pi):
         g = gram_matrix(basis_3pi, [])
         assert g.shape == (0, 0)
+
+
+_ARRAY_DATACLASSES = {
+    "LadderSpectrum": lambda spectrum, mu, principal: ladder_f(spectrum),
+    "CoherentState": lambda spectrum, mu, principal: coherent_coefficients(0.5, ladder_f(spectrum), mu),
+    "ModeTables": lambda spectrum, mu, principal: MorseBasis(principal).mode_tables(QuadratureConfig()),
+    "ScalarField2D": lambda spectrum, mu, principal: ScalarField2D(GridSpec(0, 1, 0, 1, 2, 2), np.zeros((2, 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAY_DATACLASSES))
+def test_array_dataclasses_compare_by_identity(name, spectrum_3pi, mu_3pi, p3pi):
+    # two instances built from the same inputs compare and hash by identity; an __eq__
+    # generated over ndarray fields raises ValueError, and its __hash__ TypeError
+    a, b = (_ARRAY_DATACLASSES[name](spectrum_3pi, mu_3pi, p3pi) for _ in range(2))
+    assert type(a).__name__ == name
+    assert a == a and not a == b and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 def _same_bits(a, b) -> bool:
