@@ -312,35 +312,6 @@ def _keys(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return n, m, u * u + v * v, u + v
 
 
-def _ordered_levels(param: PrincipalParameter) -> tuple["OrderedSpectrum", np.ndarray]:
-    """The spectrum of ``enumerate_levels``, and for each key after the first whether it ties the key before it.
-
-    Each key is a singlet |n, n> or a swap doublet.  Keys are sorted by
-    descending exact value a D + 2 N b (epsilon = N / D); since
-    2 N b = q_b D + r_b with 0 <= r_b < D, that is the order of the int64
-    pairs (a + q_b, rank of r_b) for any D.  Keys of equal value stay by
-    (a, b) in irrational mode, which keeps each key as its own level.
-    Integer and rational modes merge them into one level and put the key
-    holding its canonical first member (largest n - m, then smallest n)
-    first.
-    """
-    k = param.k
-    num, den = _exact_epsilon(param)
-    n, m, a, b = _keys(k)
-    q, r = zip(*(divmod(2 * num * slope, den) for slope in range(2 * k + 1)))
-    rank = {x: i for i, x in enumerate(sorted(set(r)))}
-    high, low = a + np.array(q)[b], np.array([rank[x] for x in r])[b]
-    tiebreak = (b, a) if param.mode == IRRATIONAL else (n, m - n)
-    order = np.lexsort((*tiebreak, -low, -high))
-    high, low = high[order], low[order]
-    tied = (high[1:] == high[:-1]) & (low[1:] == low[:-1])
-    if param.mode == IRRATIONAL:
-        bounds = np.arange(order.size + 1)
-    else:
-        bounds = np.concatenate(([0], np.flatnonzero(~tied) + 1, [order.size]))
-    return OrderedSpectrum(param, n[order], m[order], a[order], b[order], bounds), tied
-
-
 def _canonical(nm: tuple[int, int]) -> tuple[int, int]:
     """Sort key of a level's members: descending n - m, then ascending n."""
     return -(nm[0] - nm[1]), nm[0]
@@ -352,16 +323,8 @@ def _members(states) -> tuple[tuple[int, int], ...]:
 
 
 def enumerate_levels(param: PrincipalParameter) -> "LevelSequence":
-    """Exact degenerate levels of all (k+1)^2 bound states, built from the L = (k+1)(k+2)/2 keys.
-
-    Every key (a, b) comes once, from its state with n >= m.  Integer and
-    rational modes merge the keys whose exact level value a D + 2 N b
-    (epsilon = N / D) matches; irrational mode keeps each key as its own
-    level, since no other coincidence is possible.  Returns the levels
-    deepest first, sorted by (-value, a, b), as the lazy sequence that
-    ``OrderedSpectrum.levels`` is.
-    """
-    return _ordered_levels(param)[0].levels
+    """The levels of ``order_spectrum(param)``, deepest first; raises as it does."""
+    return order_spectrum(param).levels
 
 
 @dataclass(frozen=True)
@@ -525,25 +488,44 @@ class OrderedSpectrum:
 
 
 def order_spectrum(param: PrincipalParameter) -> OrderedSpectrum:
-    """Totally ordered spectrum, deepest level first.
+    """Exact degenerate levels of all (k+1)^2 bound states, totally ordered, deepest first.
 
-    The order is the one ``enumerate_levels`` gives, by the exact level
-    value a D + 2 N b with epsilon = N / D.  Integer and rational modes group
-    by that value, so it is strict there.  In irrational mode two adjacent
-    levels with the same value contradict the declared irrationality and
-    raise OrderingAmbiguityError.
+    Every key (a, b) comes once, from its state with n >= m, as a singlet
+    |n, n> or a swap doublet.  Keys are sorted by descending exact value
+    a D + 2 N b (epsilon = N / D); since 2 N b = q_b D + r_b with
+    0 <= r_b < D, that is the order of the int64 pairs (a + q_b, rank of
+    r_b) for any D.  Integer and rational modes merge the keys of equal
+    value into one level, so the order is strict there, and put the key
+    holding its canonical first member (largest n - m, then smallest n)
+    first.  Irrational mode keeps each key as its own level, since no other
+    coincidence is possible; two keys of equal value contradict the declared
+    irrationality and raise OrderingAmbiguityError naming the first such
+    pair in (-value, a, b) order.
     """
-    spectrum, tied = _ordered_levels(param)
-    if param.mode == IRRATIONAL and tied.any():
+    k = param.k
+    num, den = _exact_epsilon(param)
+    n, m, a, b = _keys(k)
+    q, r = zip(*(divmod(2 * num * slope, den) for slope in range(2 * k + 1)))
+    rank = {x: i for i, x in enumerate(sorted(set(r)))}
+    high, low = a + np.array(q)[b], np.array([rank[x] for x in r])[b]
+    tiebreak = (b, a) if param.mode == IRRATIONAL else (n, m - n)
+    order = np.lexsort((*tiebreak, -low, -high))
+    n, m, a, b, high, low = (col[order] for col in (n, m, a, b, high, low))
+    tied = (high[1:] == high[:-1]) & (low[1:] == low[:-1])
+    if param.mode != IRRATIONAL:
+        bounds = np.concatenate(([0], np.flatnonzero(~tied) + 1, [order.size]))
+    elif tied.any():
         tie = int(np.argmax(tied))
-        u, v = (LevelKey(int(spectrum.a[i]), int(spectrum.b[i])) for i in (tie, tie + 1))
+        u, v = (LevelKey(int(a[i]), int(b[i])) for i in (tie, tie + 1))
         raise OrderingAmbiguityError(
             f"levels {u} and {v} are exactly degenerate at "
             f"p = {param.p_text}; the declared mode {param.mode!r} does not "
             "admit a strict order here",
             keys=(u, v), p_text=param.p_text, mode=param.mode,
         )
-    return spectrum
+    else:
+        bounds = np.arange(order.size + 1)
+    return OrderedSpectrum(param, n, m, a, b, bounds)
 
 
 @dataclass(frozen=True)
@@ -571,19 +553,21 @@ def crossing_report(k: int, epsilon: float, tol: float) -> list[Crossing]:
     A pair with slopes b_i != b_j crosses at eps* = -(a_i - a_j)/(2 (b_i - b_j));
     it is reported when |delta_a + 2 eps delta_b| < 2 tol |delta_b|, i.e. when
     eps* falls inside (epsilon - tol, epsilon + tol).  Pairs with equal b
-    never cross and are skipped.
+    never cross and are skipped.  A k above K_MAX raises ValueError before
+    any key is built.
 
-    The L = (k+1)(k+2)/2 keys are grouped by slope b with a sorted inside
-    each group.  The predicate sees a pair only through (delta_a, delta_b),
-    so a slope gap d = -delta_b can hold a crossing only if it holds for the
-    integer delta_a nearest 2 eps d: that one minimizes the exact
-    |delta_a - 2 eps d|, and rounding, monotone and odd, keeps it smallest
-    after rounding too.  The gaps 1 .. 2k are tested that way at once, with
-    the predicate as written.  For each slope, every key of a smaller slope
-    at a live gap looks up the integer a-window of that group that can hold
-    its partners, widened by one on each side, and only those candidates are
-    tested with the predicate.  Neither the gap test nor the window decides
-    a hit, so the result is the one an all-pairs scan gives.  Time
+    The L = (k+1)(k+2)/2 keys are sorted once by (b, a), as the ascending
+    integer code b (2k^2 + 1) + a.  The predicate sees a pair only through
+    (delta_a, delta_b), so a slope gap d = -delta_b can hold a crossing only
+    if it holds for the integer delta_a nearest 2 eps d: that one minimizes
+    the exact |delta_a - 2 eps d|, and rounding, monotone and odd, keeps it
+    smallest after rounding too.  The gaps 1 .. 2k are tested that way at
+    once, with the predicate as written.  For each live gap d, every key of
+    slope b <= 2k - d looks up, by one search over the codes, the integer
+    a-window of slope b + d that can hold its partners, widened by one on
+    each side and clipped to that slope's codes, and only those candidates
+    are tested with the predicate.  Neither the gap test nor the window
+    decides a hit, so the result is the one an all-pairs scan gives.  Time
     O(L log L) plus one range search per key at a live gap, which near an
     irrational eps is a handful of gaps and at eps = 1/2 every gap (O(k L
     log L)); memory O(L + reported crossings), never the O(L^2) pair
@@ -591,6 +575,8 @@ def crossing_report(k: int, epsilon: float, tol: float) -> list[Crossing]:
     """
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
         raise ValueError(f"k must be a non-negative integer, got {k!r}")
+    if k > K_MAX:
+        raise ValueError(f"k = {k} is above the supported depth k <= {K_MAX}")
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie strictly inside (0, 1)")
     if not tol > 0.0:
@@ -599,29 +585,25 @@ def crossing_report(k: int, epsilon: float, tol: float) -> list[Crossing]:
         raise ValueError("tol must be finite")
     k = int(k)
     _, _, a_int, b_int = _keys(k)
-    order = np.lexsort((a_int, b_int))
-    a_int, b_int = a_int[order], b_int[order]
+    span = 2 * k * k + 1  # above every a: the largest, 2k^2, is at n = m = 0
+    code = np.sort(b_int * span + a_int)
+    b_int, a_int = np.divmod(code, span)
     a, b = a_int.astype(float), b_int.astype(float)
-    bounds = np.searchsorted(b_int, np.arange(2 * k + 2))
     # the predicate at each gap's best delta_a; db = -gap as the pairs have it
     db = -np.arange(1.0, 2 * k + 1)
     live = np.abs(np.rint(-2.0 * epsilon * db) + 2.0 * epsilon * db) < 2.0 * tol * np.abs(db)
-    gaps = np.flatnonzero(live) + 1
     pick_i, pick_j = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-    for slope in range(1, 2 * k + 1):
-        lo, hi = bounds[slope], bounds[slope + 1]
-        # the keys of the smaller slopes at a live gap, ascending
-        sources = slope - gaps[gaps <= slope][::-1]
-        if not sources.size:
-            continue
-        src = _ranges(bounds[sources], bounds[sources + 1] - bounds[sources])
-        # partners of key p in this group have a within 2 tol |db| of the centre
-        db = b[src] - slope
-        centre = a[src] + 2.0 * epsilon * db
-        half = 2.0 * tol * np.abs(db)
-        first = lo + np.searchsorted(a[lo:hi], np.floor(centre - half) - 1.0, "left")
-        count = lo + np.searchsorted(a[lo:hi], np.ceil(centre + half) + 1.0, "right") - first
-        p, q = np.repeat(src, count), _ranges(first, count)
+    for gap in (np.flatnonzero(live) + 1).tolist():
+        p = np.arange(np.searchsorted(b_int, 2 * k - gap, "right"))
+        # partners of key p at slope b_p + gap have a within 2 tol gap of the centre
+        centre = a[p] - 2.0 * epsilon * gap
+        half = 2.0 * tol * gap
+        group = (b_int[p] + gap) * span
+        lo = np.clip(np.floor(centre - half) - 1.0, 0, span - 1).astype(np.int64)
+        hi = np.clip(np.ceil(centre + half) + 1.0, 0, span - 1).astype(np.int64)
+        first = np.searchsorted(code, group + lo, "left")
+        count = np.searchsorted(code, group + hi, "right") - first
+        p, q = np.repeat(p, count), _ranges(first, count)
         # the predicate and -da/(2 db) are exact under swapping p and q
         da, db = a[p] - a[q], b[p] - b[q]
         hit = np.abs(da + 2.0 * epsilon * db) < 2.0 * tol * np.abs(db)

@@ -770,12 +770,13 @@ def gram_matrix(basis: MorseBasis, states, quad: QuadratureConfig | None = None)
     The product runs in real halves by row blocks of at most _GRAM_BLOCK
     elements: for each block, P and Q are row gathers of S[:, n] and S[:, m],
     the real and imaginary parts of A and B are (rows x 4) @ (4 x L) real
-    products of the coefficients' parts, and each half of G is written
-    straight into the complex result.  The imaginary half is skipped when
-    every gamma and delta is real.  Peak memory is about the result plus one
-    block's arrays.  A level state is one pair, so a list of them needs no
-    further step; otherwise each state's rows and columns are summed.  A
-    state with no term is one zero pair, so its row and column are zero.
+    products of the coefficients' parts.  The imaginary half is skipped when
+    every gamma and delta is real.  A level state is one pair, so for a list
+    of them each half is written straight into the complex result.
+    Otherwise each block's columns are summed by state and its rows added
+    into the states x states result, so peak memory is about the result
+    plus one block's arrays either way, never pairs x pairs.  A state with
+    no term is one zero pair, so its row and column are zero.
 
     S is ``MorseBasis.overlap_table``; level states give max|G - I| below
     1e-10 at k = 45 and 60, eps down to 0.01.  ``quad`` is unused and kept
@@ -784,31 +785,37 @@ def gram_matrix(basis: MorseBasis, states, quad: QuadratureConfig | None = None)
     s = basis.overlap_table()
     states = list(states)
     (n, m, gamma, delta), starts, _ = _pair_columns(basis, states)
-    g = np.zeros((n.size, n.size), dtype=complex)
+    if starts is None:
+        g = np.zeros((n.size, n.size), dtype=complex)
+    else:
+        g = np.zeros((len(states), len(states)), dtype=complex)
+        owner = np.repeat(np.arange(len(states)), np.diff([*starts, n.size]))
     # the real parts of A and B are u @ u.T and u @ u[:, [2, 3, 0, 1]].T, the
     # imaginary parts flip @ u[:, [1, 0, 3, 2]].T and flip @ u[:, [3, 2, 1, 0]].T
     u = np.column_stack([gamma.real, gamma.imag, delta.real, delta.imag])
-    halves = [(g.real, u, u.T, u[:, [2, 3, 0, 1]].T)]
+    halves = [(u, u.T, u[:, [2, 3, 0, 1]].T)]
     if u[:, 1::2].any():
         flip = u * [1.0, -1.0, 1.0, -1.0]
-        halves.append((g.imag, flip, u[:, [1, 0, 3, 2]].T, u[:, [3, 2, 1, 0]].T))
+        halves.append((flip, u[:, [1, 0, 3, 2]].T, u[:, [3, 2, 1, 0]].T))
     s_n, s_m = s[:, n], s[:, m]
     rows = max(1, _GRAM_BLOCK // max(1, n.size))
+    # one block of pair rows; an imaginary half never written stays zero
+    buffer = None if starts is None else np.zeros((min(rows, n.size), n.size), dtype=complex)
     for lo in range(0, n.size, rows):
         block = slice(lo, lo + rows)
         p = s_n[n[block]]
         p *= s_m[m[block]]
         q = s_m[n[block]]
         q *= s_n[m[block]]
-        for half, left, a, b in halves:
-            out = half[block]
-            np.multiply(left[block] @ a, p, out=out)
+        out = g[block] if buffer is None else buffer[: p.shape[0]]
+        for half, (left, a, b) in zip((out.real, out.imag), halves):
+            np.multiply(left[block] @ a, p, out=half)
             term = left[block] @ b
             term *= q
-            out += term
-    if starts is None:
-        return g
-    return np.add.reduceat(np.add.reduceat(g, starts, axis=0), starts, axis=1)
+            half += term
+        if buffer is not None:
+            np.add.at(g, owner[block], np.add.reduceat(out, starts, axis=1))
+    return g
 
 
 def _pair_columns(basis: MorseBasis, states: list) -> tuple:

@@ -36,7 +36,7 @@ class TestSpectrumCommand:
         assert (tmp_path / "spectrum.csv").exists()
         assert (tmp_path / "spectrum.json").exists()
 
-    def test_csv_rows_are_ordered_levels(self, tmp_path, capsys):
+    def test_csv_rows_are_the_levels_in_order(self, tmp_path, capsys):
         code, out, _ = run(capsys, "spectrum", "--p", "3pi", "--out", str(tmp_path))
         assert code == 0
         lines = (tmp_path / "spectrum.csv").read_text().splitlines()
@@ -563,7 +563,7 @@ class TestExitCodes:
         def explode(*args, **kwargs):
             raise AssertionError("level enumeration ran")
 
-        monkeypatch.setattr(spectrum, "_ordered_levels", explode)
+        monkeypatch.setattr(spectrum, "_keys", explode)
         code, out, err = run(capsys, "spectrum", "--p", "1000000", "--mode", "integer", "--out", str(tmp_path))
         assert (code, out) == (2, "")
         assert err == f"error: p = 1000000 gives k = 1000000, above the supported depth k <= {spectrum.K_MAX}\n"

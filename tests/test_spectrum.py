@@ -398,6 +398,12 @@ class TestOrderSpectrum:
             "p = 3.5; the declared mode 'irrational' does not admit a strict order here"
         )
 
+    def test_enumerate_levels_refuses_the_same_tie(self):
+        # no second level builder: the level list is order_spectrum's, refusal included
+        with pytest.raises(OrderingAmbiguityError) as info:
+            enumerate_levels(decompose("3.5", IRRATIONAL))
+        assert info.value.keys == (LevelKey(8, 4), LevelKey(9, 3))
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -535,21 +541,22 @@ class TestKeysMatchStateLoop:
     @staticmethod
     def _assert_matches_state_loop(param):
         expected = enumerate_levels_loop(param)
-        levels = enumerate_levels(param)
-        assert levels == expected
-        assert [rec.shifted_energy.hex() for rec in levels] == [rec.shifted_energy.hex() for rec in expected]
-        assert count_summary(levels) == count_summary(expected)
         frac = param.ratio if param.mode == RATIONAL else param.epsilon_exact
         value = [rec.key.a * frac.denominator + 2 * frac.numerator * rec.key.b for rec in expected]
         ties = [(u.key, v.key) for u, v, x, y in zip(expected, expected[1:], value, value[1:]) if x == y]
         if ties:
             # only irrational mode keeps keys of equal value apart; its order is then ambiguous
             assert param.mode == IRRATIONAL
-            with pytest.raises(OrderingAmbiguityError) as info:
-                order_spectrum(param)
-            assert info.value.keys == ties[0]
-        else:
-            assert order_spectrum(param).levels == tuple(expected)
+            for build in (enumerate_levels, order_spectrum):
+                with pytest.raises(OrderingAmbiguityError) as info:
+                    build(param)
+                assert info.value.keys == ties[0]
+            return
+        levels = enumerate_levels(param)
+        assert levels == expected
+        assert [rec.shifted_energy.hex() for rec in levels] == [rec.shifted_energy.hex() for rec in expected]
+        assert count_summary(levels) == count_summary(expected)
+        assert order_spectrum(param).levels == tuple(expected)
 
     @pytest.mark.parametrize(
         "text, mode",
@@ -728,6 +735,16 @@ class TestCrossingReport:
         with pytest.raises(ValueError, match="k must be"):
             crossing_report(k, 0.5, tol=1e-6)
 
+    def test_depth_beyond_cap_refused_before_any_key(self, monkeypatch):
+        # k = 10**6 would ask for about 5 * 10**11 level keys
+        def explode(*args, **kwargs):
+            raise AssertionError("level keys were built")
+
+        monkeypatch.setattr(spectrum, "_keys", explode)
+        for k in (K_MAX + 1, 10**6):
+            with pytest.raises(ValueError, match=rf"^k = {k} is above the supported depth k <= {K_MAX}$"):
+                crossing_report(k, 0.5, tol=1e-6)
+
     @pytest.mark.parametrize("tol", [math.inf, math.nan])
     def test_rejects_non_finite_tol(self, tol):
         with pytest.raises(ValueError, match="tol must be"):
@@ -737,11 +754,16 @@ class TestCrossingReport:
         assert crossing_report(np.int64(3), 0.5, tol=1e-6) == crossing_report(3, 0.5, tol=1e-6)
 
     def test_seeded_wells_match_all_pairs(self):
+        # first, windows that the clip to a slope's codes cuts: far past both ends of
+        # every group (tol 1e300), below a = 0 (eps near 0 and near 1), and k = 0
+        cases = [(20, 0.3717, 1e300), (5, 1e-9, 1e-3), (50, 1.0 - 1e-12, 1e-6), (0, 0.5, 1.0)]
         rng = random.Random(20261018)
         for _ in range(24):
             k = rng.randrange(0, 41)
             eps = rng.uniform(1e-3, 1.0 - 1e-3)
             tol = 10.0 ** rng.uniform(-9.0, -0.2)
+            cases.append((k, eps, tol))
+        for k, eps, tol in cases:
             assert crossing_report(k, eps, tol) == crossing_report_pairs(k, eps, tol)
 
     @pytest.mark.parametrize("eps", [1 / 2, 1 / 4, 3 / 8, 1 / 3])

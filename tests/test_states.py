@@ -658,6 +658,26 @@ class TestGramMatrix:
             tracemalloc.stop()
         assert peak <= 1.25 * g.nbytes
 
+    @pytest.mark.deep
+    def test_peak_memory_of_many_pair_states_is_not_pairs_squared(self):
+        # four psi = 20 coherent states at k = 200 hold 1884 pairs: each block is
+        # summed by state before the next, never forming the pairs x pairs matrix
+        param = decompose("200.3717", "irrational")
+        spectrum = order_spectrum(param)
+        mu = build_mu_basis(spectrum, MixingCoefficients.normalized(0.6 - 0.2j, 0.3 + 0.7j))
+        coherent = [coherent_coefficients(20.0, ladder_f(spectrum), mu)] * 4
+        basis = MorseBasis(param)
+        basis.overlap_table()
+        pairs = 4 * len(coherent[0].pairs)
+        tracemalloc.start()
+        try:
+            g = gram_matrix(basis, coherent)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.shape == (4, 4) and np.max(np.abs(g - 1.0)) <= 1e-10
+        assert peak < pairs * pairs * 16 / 4
+
     def test_threshold_mode_of_an_integer_well_is_refused(self):
         # p = 4: the census counts |4, 4> (level mu_14), but mode n = 4 sits at E = 0
         spectrum = order_spectrum(decompose("4", "integer"))
