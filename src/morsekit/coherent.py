@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import QuadratureAccuracyError
 from .spectrum import OrderedSpectrum
-from .states import ModeTables, MorseBasis, MuBasis, QuadratureConfig, _columns, _expand, _matrix
+from .states import _REFINE_TOL, ModeTables, MorseBasis, MuBasis, QuadratureConfig, _columns, _expand, _matrix
 
 __all__ = [
     "LadderSpectrum",
@@ -35,9 +35,6 @@ __all__ = [
     "uncertainty_sweep",
     "first_separation",
 ]
-
-# Momentum-moment refinement must be stable to this relative level.
-_MOMENT_TOL = 1.0e-7
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,6 +104,7 @@ class CoherentState:
     coefficients: np.ndarray
     log_normalization: float
     basis: MuBasis
+    ladder: LadderSpectrum
 
     @property
     def xi(self) -> int:
@@ -144,7 +142,7 @@ def coherent_coefficients(psi, ladder: LadderSpectrum, basis: MuBasis) -> Cohere
     if psi == 0.0:
         coeffs = np.zeros(ladder.xi + 1, dtype=complex)
         coeffs[0] = 1.0
-        return CoherentState(psi, coeffs, 0.0, basis)
+        return CoherentState(psi, coeffs, 0.0, basis, ladder)
     log_abs_psi = math.log(abs(psi))
     terms = 2.0 * n * log_abs_psi - ladder.log_factorials
     top = terms.max()
@@ -154,7 +152,7 @@ def coherent_coefficients(psi, ladder: LadderSpectrum, basis: MuBasis) -> Cohere
     log_norm = float(np.log1p(rest) + np.log(count) + top)
     log_coeffs = n * log_abs_psi - 0.5 * ladder.log_factorials - 0.5 * log_norm
     coeffs = np.exp(log_coeffs) * np.exp(1j * n * np.angle(psi))
-    return CoherentState(psi, coeffs, log_norm, basis)
+    return CoherentState(psi, coeffs, log_norm, basis, ladder)
 
 
 def log_bg_residual(state: CoherentState, ladder: LadderSpectrum) -> float:
@@ -163,11 +161,14 @@ def log_bg_residual(state: CoherentState, ladder: LadderSpectrum) -> float:
     Acting with the lowering operator reproduces Psi times the state except
     for one boundary term of magnitude |Psi|^(xi+1) / sqrt([f(xi)]! N(Psi)).
     Its log stays finite where the magnitude itself underflows (k = 30,
-    Psi = 2 gives about -1395); it is -inf for Psi = 0.  A ladder whose rung
-    count differs from the state's raises ValueError.
+    Psi = 2 gives about -1395); it is -inf for Psi = 0.  Any ladder but the
+    state's own (another object with other f) raises ValueError.
     """
     if ladder.xi != state.xi:
         raise ValueError(f"ladder has {ladder.xi + 1} rungs but the state has {state.xi + 1} levels")
+    if ladder is not state.ladder and not np.array_equal(ladder.f, state.ladder.f):
+        i = int(np.argmax(ladder.f != state.ladder.f))
+        raise ValueError(f"not the state's ladder: rung {i} has f = {ladder.f[i]}, not {state.ladder.f[i]}")
     if state.psi == 0.0:
         return -math.inf
     return float(
@@ -337,7 +338,7 @@ def moments(basis: MorseBasis, state, axis: str = "x", quad: QuadratureConfig | 
     fine = _axis_expectations(c, basis._mode_tables(quad.refined(), top), axis)
     for name in ("mean_q", "mean_q2", "mean_p", "mean_p2"):
         a, b = getattr(coarse, name), getattr(fine, name)
-        delta, limit = abs(a - b), _MOMENT_TOL * max(1.0, abs(b))
+        delta, limit = abs(a - b), _REFINE_TOL * max(1.0, abs(b))
         if delta > limit:
             raise QuadratureAccuracyError(
                 f"{name} along {axis} moved by {delta:.3e} under refinement",
@@ -358,27 +359,18 @@ class SweepPoint:
 def uncertainty_sweep(basis: MorseBasis, mu_basis: MuBasis, psi_values=None) -> list[SweepPoint]:
     """Moment reports, on the default rule of ``moments``, for a range of coherent-state amplitudes.
 
-    The default sweep covers |Psi| = 0.1 .. 5.0 in steps of 0.1.  The full
-    mode tables of both rules are built once, before the first point, and
-    cached on the basis, so the cost per point is a handful of small matrix
-    contractions.
+    The default sweep covers |Psi| = 0.1 .. 5.0 in steps of 0.1.  ``moments``
+    builds each rule's tables at most twice (to the first state's top mode,
+    then in full) and caches them on the basis, so a point costs a handful
+    of small matrix contractions.
     """
     if psi_values is None:
         psi_values = np.round(np.arange(1, 51) * 0.1, 10)
     ladder = ladder_f(mu_basis.spectrum)
-    quad = QuadratureConfig()
-    basis.mode_tables(quad)
-    basis.mode_tables(quad.refined())
     points = []
     for psi in psi_values:
         state = coherent_coefficients(psi, ladder, mu_basis)
-        points.append(
-            SweepPoint(
-                psi=complex(psi),
-                x=moments(basis, state, "x"),
-                y=moments(basis, state, "y"),
-            )
-        )
+        points.append(SweepPoint(complex(psi), moments(basis, state, "x"), moments(basis, state, "y")))
     return points
 
 

@@ -20,7 +20,7 @@ import functools
 import math
 import numbers
 import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, localcontext
 from fractions import Fraction
@@ -284,11 +284,6 @@ class LevelRecord:
     shifted_energy: float
     classification: str
 
-    def unordered_pairs(self) -> int:
-        """Number of members counted up to the n <-> m swap."""
-        diagonal = sum(1 for n, m in self.members if n == m)
-        return diagonal + (self.multiplicity - diagonal) // 2
-
 
 def _exact_epsilon(param: PrincipalParameter) -> tuple[int, int]:
     """epsilon as integers (N, D) with epsilon = N / D exactly.
@@ -329,7 +324,7 @@ def enumerate_levels(param: PrincipalParameter) -> "LevelSequence":
 
 @dataclass(frozen=True)
 class CountSummary:
-    """Census of a level list.
+    """Census of a spectrum's levels.
 
     ``total_states`` counts all (n, m); ``swap_reduced`` counts states up to
     the n <-> m swap; ``distinct`` counts levels; ``accidental`` is the
@@ -343,22 +338,17 @@ class CountSummary:
     accidental: int
 
 
-def count_summary(levels: Iterable[LevelRecord]) -> CountSummary:
-    """Census of ``levels``; a spectrum's ``LevelSequence`` is counted from its key columns.
+def count_summary(levels: LevelSequence) -> CountSummary:
+    """Census of a spectrum's ``LevelSequence``, counted from its key columns.
 
-    There each key is one unordered pair and a state count of 2 (1 on the
-    diagonal), so no record is built.
+    Each key is one unordered pair and a state count of 2 (1 on the
+    diagonal), so no record is built.  Anything else raises TypeError.
     """
-    if isinstance(levels, LevelSequence):
-        spectrum = levels.spectrum
-        pairs, distinct = spectrum.n.size, len(levels)
-        total = 2 * pairs - int(np.count_nonzero(spectrum.n == spectrum.m))
-        return CountSummary(total, pairs, distinct, pairs - distinct)
-    levels = list(levels)
-    total = sum(rec.multiplicity for rec in levels)
-    swap_reduced = sum(rec.unordered_pairs() for rec in levels)
-    distinct = len(levels)
-    return CountSummary(total, swap_reduced, distinct, swap_reduced - distinct)
+    if not isinstance(levels, LevelSequence):
+        raise TypeError(f"count_summary takes a spectrum's LevelSequence, got {type(levels).__name__}")
+    n, m, distinct = levels.spectrum.n, levels.spectrum.m, len(levels)
+    total = 2 * n.size - int(np.count_nonzero(n == m))
+    return CountSummary(total, n.size, distinct, n.size - distinct)
 
 
 # Records a LevelSequence builds at once while it is iterated.

@@ -42,8 +42,8 @@ __all__ = [
     "gram_matrix",
 ]
 
-# The overlap table may move by at most _TABLE_TOL when _CHECK_NODES nodes are added.
-_TABLE_TOL, _CHECK_NODES = 1.0e-7, 8
+# One tolerance for both refinement checks: absolute on the overlap table (|S| <= 1), relative for moments.
+_REFINE_TOL, _CHECK_NODES = 1.0e-7, 8
 
 # Elements per row block of the Gram product: each block's gathers and
 # coefficient products hold at most this many doubles, so the product needs
@@ -610,11 +610,11 @@ class MorseBasis:
             rows, check = self._overlap_rows(alpha, nodes, nodes + _CHECK_NODES)
             s = rows @ rows.T
             delta = float(np.abs(s - check @ check.T).max())
-            if delta > _TABLE_TOL:
+            if delta > _REFINE_TOL:
                 raise QuadratureAccuracyError(
                     f"overlap table moved by {delta:.3e} from {nodes} to "
                     f"{nodes + _CHECK_NODES} Gauss-Laguerre nodes (alpha = {alpha!r})",
-                    quantity="overlap table", delta=delta, tol=_TABLE_TOL, rule=(nodes, alpha),
+                    quantity="overlap table", delta=delta, tol=_REFINE_TOL, rule=(nodes, alpha),
                 )
             self._overlap = s
         return self._overlap
@@ -645,9 +645,8 @@ class MorseBasis:
         full table's.  The cache of a rule remembers the top it was built
         to; a call that needs a higher one rebuilds it in full.
         """
-        key = (quad.points_per_axis, quad.panels)
-        if key in self._tables:
-            built, tables = self._tables[key]
+        if quad in self._tables:
+            built, tables = self._tables[quad]
             if built >= top:
                 return tables
             top = self.bound_modes()[-1]
@@ -671,7 +670,7 @@ class MorseBasis:
             momentum=hbar * (fw @ df.T),
             momentum_sq=hbar * hbar * (dfw @ df.T),
         )
-        self._tables[key] = (top, tables)
+        self._tables[quad] = (top, tables)
         return tables
 
 

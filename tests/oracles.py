@@ -21,6 +21,7 @@ from morsekit import (
     IRRATIONAL,
     RATIONAL,
     SINGLET,
+    CountSummary,
     Crossing,
     LevelKey,
     LevelRecord,
@@ -565,6 +566,21 @@ def enumerate_levels_loop(param):
         )
     records.sort(key=lambda rec: (-(rec.key.a * den + 2 * num * rec.key.b), rec.key))
     return records
+
+
+def census_of_records(levels):
+    """count_summary of any list of LevelRecords, counted member by member.
+
+    A level's swap-reduced count is its diagonal members plus half of the
+    rest; the accidental count is the excess over the number of levels.
+    """
+    levels = list(levels)
+    total = sum(rec.multiplicity for rec in levels)
+    swap_reduced = 0
+    for rec in levels:
+        diagonal = sum(1 for n, m in rec.members if n == m)
+        swap_reduced += diagonal + (rec.multiplicity - diagonal) // 2
+    return CountSummary(total, swap_reduced, len(levels), swap_reduced - len(levels))
 
 
 def crossing_report_pairs(k, epsilon, tol):

@@ -410,6 +410,21 @@ class TestResidual:
             with pytest.raises(ValueError, match="ladder has 91 rungs but the state has 55 levels"):
                 check(state, other)
 
+    def test_ladder_with_as_many_rungs_is_rejected(self, ladder_3pi, mu_3pi):
+        # the 9.3717 ladder also has 55 rungs; read with the 3 pi state it gave a log
+        # residual of -103.238 in place of -103.460, and a direct residual of 1.459e-45
+        state = coherent_coefficients(1.5, ladder_3pi, mu_3pi)
+        assert state.ladder is ladder_3pi
+        other = ladder_f(order_spectrum(decompose("9.3717", "irrational")))
+        assert other.xi == ladder_3pi.xi
+        for check in (log_bg_residual, bg_residual, bg_residual_direct):
+            with pytest.raises(ValueError, match=r"not the state's ladder: rung 1 has f = 17\.7434.*, not 17\.849"):
+                check(state, other)
+        # a ladder built apart from the same f is the state's own
+        twin = LadderSpectrum(ladder_3pi.f)
+        for check in (log_bg_residual, bg_residual, bg_residual_direct):
+            assert check(state, twin) == check(state, ladder_3pi)
+
     def test_residual_precision_is_capped(self, monkeypatch):
         # the estimate puts the k = 45, psi = 1 residual about 1800 places below 1;
         # any residual under 1e-340 rounds to 0.0, so 380 digits are enough
@@ -608,12 +623,40 @@ class TestShortTables:
         psis = [0.1, 0.6, 1.7 + 0.4j, 3.0]
         basis, full = MorseBasis(param), MorseBasis(param)
         points = uncertainty_sweep(basis, mu_basis, psi_values=psis)
-        # the sweep builds the full tables of both rules before its first point
+        # a later point needs every bound mode, so both rules end up with their full tables
         assert [built for built, _ in basis._tables.values()] == [param.k, param.k]
         for point, psi in zip(points, psis):
             state = coherent_coefficients(psi, ladder, mu_basis)
             assert _report_bits(lambda: point.x) == _report_bits(lambda: moments_full_tables(full, state, "x"))
             assert _report_bits(lambda: point.y) == _report_bits(lambda: moments_full_tables(full, state, "y"))
+
+
+    def test_sweep_builds_each_rule_at_most_twice(self, monkeypatch):
+        # at 60.3717 the first state's top mode is below k: a short build, then the full one
+        param = decompose("60.3717", "irrational")
+        mu_basis = build_mu_basis(order_spectrum(param), MixingCoefficients.normalized(0.866, 0.5))
+        prebuilt = MorseBasis(param)
+        for quad in (QuadratureConfig(), QuadratureConfig().refined()):
+            prebuilt.mode_tables(quad)
+        expected = uncertainty_sweep(prebuilt, mu_basis)
+        builds, rows = [], MorseBasis._rows
+
+        def counted(self, modes, x, derivative=False):
+            if derivative:
+                builds.append((x.size, len(modes)))
+            return rows(self, modes, x, derivative)
+
+        monkeypatch.setattr(MorseBasis, "_rows", counted)
+        basis = MorseBasis(param)
+        points = uncertainty_sweep(basis, mu_basis)
+        assert sorted(builds) == [(200, 23), (200, 61), (400, 23), (400, 61)]
+        assert list(basis._tables) == [QuadratureConfig(), QuadratureConfig().refined()]
+        assert [built for built, _ in basis._tables.values()] == [param.k, param.k]
+        assert len(points) == len(expected) == 50
+        for point, old in zip(points, expected):
+            assert point.psi == old.psi
+            assert _report_bits(lambda: point.x) == _report_bits(lambda: old.x)
+            assert _report_bits(lambda: point.y) == _report_bits(lambda: old.y)
 
 
 class TestSweep:

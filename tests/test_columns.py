@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    census_of_records,
     coefficient_matrix_from_states,
     density_grid_loop,
     enumerate_levels_loop,
@@ -73,7 +74,7 @@ class TestLevelSequence:
         levels = enumerate_levels(param)
         assert isinstance(levels, LevelSequence)
         assert len(levels) == len(expected)
-        assert count_summary(levels) == count_summary(expected)
+        assert count_summary(levels) == census_of_records(expected)
         assert levels == expected
         assert _bits(levels.spectrum.shifted_energies()) == _bits(rec.shifted_energy for rec in expected)
 

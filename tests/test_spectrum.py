@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    census_of_records,
     crossing_report_pairs,
     crossing_report_slopes,
     enumerate_levels_loop,
@@ -289,7 +290,13 @@ class TestEnumerateLevels:
         (rec,) = [r for r in levels if r.key.a == 50]
         assert rec.classification == ACCIDENTAL
         assert set(rec.members) == {(2, 8), (4, 4), (8, 2)}
-        assert rec.unordered_pairs() == 2
+        assert census_of_records([rec]).swap_reduced == 2
+
+    def test_census_counts_a_level_sequence_only(self):
+        levels = enumerate_levels(decompose("9", INTEGER))
+        for other in ([], list(levels)):
+            with pytest.raises(TypeError, match="takes a spectrum's LevelSequence, got list"):
+                count_summary(other)
 
     def test_census_k7_rational_half(self):
         levels = enumerate_levels(decompose("7.5", RATIONAL))
@@ -555,7 +562,7 @@ class TestKeysMatchStateLoop:
         levels = enumerate_levels(param)
         assert levels == expected
         assert [rec.shifted_energy.hex() for rec in levels] == [rec.shifted_energy.hex() for rec in expected]
-        assert count_summary(levels) == count_summary(expected)
+        assert count_summary(levels) == census_of_records(expected)
         assert order_spectrum(param).levels == tuple(expected)
 
     @pytest.mark.parametrize(

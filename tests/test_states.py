@@ -576,8 +576,9 @@ class TestGramMatrix:
         picks = [mixed, lone, singlet, 4]  # level 4 keeps the fixture's override
         c[picks] = rng.normal(size=4) + 1j * rng.normal(size=4)
         c /= np.linalg.norm(c)
-        custom = CoherentState(0.5, c, 0.0, levels)
-        empty = CoherentState(0.5, np.zeros(mu.xi + 1, dtype=complex), 0.0, levels)
+        ladder = ladder_f(spectrum)
+        custom = CoherentState(0.5, c, 0.0, levels, ladder)
+        empty = CoherentState(0.5, np.zeros(mu.xi + 1, dtype=complex), 0.0, levels, ladder)
         assert [pair[:2] for pair in custom.pairs] == [(spectrum.n[i], spectrum.m[i]) for i in sorted(picks)]
         by_level = dict(zip(sorted(picks), custom.pairs))
         assert by_level[mixed][2] != by_level[mixed][3] and by_level[lone][3] == 0.0
