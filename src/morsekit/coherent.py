@@ -301,11 +301,9 @@ def _axis_expectations(c: np.ndarray, tables: ModeTables, axis: str) -> MomentRe
     if axis == "x":
         right = (s @ c.T).reshape(1, -1)
         braket = lambda a: (right @ (a.T @ np.conj(c)).T.reshape(-1, 1)).item()
-    elif axis == "y":
+    else:
         left = (s.T @ np.conj(c)).T.reshape(-1, 1)
         braket = lambda a: ((a @ c.T).reshape(1, -1) @ left).item()
-    else:
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     norm = braket(s).real
     mean = {name: braket(op) / norm for name, op in pairs.items()}
     return MomentReport(
@@ -331,6 +329,8 @@ def moments(basis: MorseBasis, state, axis: str = "x", quad: QuadratureConfig | 
     zeros of the state's coefficients, so the report is the one the full
     tables give, bit for bit.
     """
+    if axis not in ("x", "y"):
+        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     quad = quad or QuadratureConfig()
     c, used = _expand(basis, state)
     top = max(used, default=0)

@@ -158,15 +158,17 @@ def decompose(p, mode: str, ratio=None) -> PrincipalParameter:
 
     ``p`` is read through ``str(p)``: decimal text (preferred: it is kept
     verbatim as the exact text), an int or a float.  ``mode`` is one of
-    "integer", "rational", "irrational".  In rational mode ``ratio`` may
-    supply the exact fraction for epsilon as anything ``Fraction`` accepts;
-    if omitted it is derived from the decimal text.  A supplied ratio that
+    "integer", "rational", "irrational".  Only rational mode takes ``ratio``,
+    the exact fraction for epsilon as anything ``Fraction`` accepts; if
+    omitted it is derived from the decimal text.  A supplied ratio that
     disagrees with the text by more than 1e-12 is rejected as inconsistent.
     A p with k above K_MAX is rejected with ValueError.
     """
     mode = str(mode).lower()
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    if ratio is not None and mode != RATIONAL:
+        raise ValueError(f"a ratio applies only in rational mode, not in {mode} mode")
     p_text = str(p).strip()
     p_dec = _parse_decimal(p_text)
     p_value = float(p_dec)

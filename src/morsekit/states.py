@@ -401,6 +401,8 @@ class MorseBasis:
         self.p = p
         self.beta = physical.beta
         self.k = principal.k
+        # nu - (2n + 1) falls as n grows, so the bound modes are 0..top_mode (-1 if none is bound)
+        self.top_mode = next((n for n in range(self.k, -1, -1) if self.nu - (2.0 * n + 1.0) > 0.0), -1)
         self._boxes: dict = {}
         self._support: tuple[float, float] | None = None
         self._tables: dict = {}
@@ -409,11 +411,11 @@ class MorseBasis:
     # -- mode bookkeeping ---------------------------------------------------
 
     def mode_is_bound(self, n: int) -> bool:
-        """A 1D mode is normalizable iff nu > 2n + 1 strictly."""
-        return 0 <= n <= self.k and self.nu - (2.0 * n + 1.0) > 0.0
+        """A 1D mode is normalizable iff nu > 2n + 1 strictly, that is iff 0 <= n <= top_mode."""
+        return 0 <= n <= self.top_mode
 
     def bound_modes(self) -> list[int]:
-        return [n for n in range(self.k + 1) if self.mode_is_bound(n)]
+        return list(range(self.top_mode + 1))
 
     def _check_mode(self, n: int, level: int | None = None) -> None:
         """Raise ValueError unless n is a bound mode; ``level`` names the level state that uses it."""
@@ -432,7 +434,7 @@ class MorseBasis:
     @functools.cached_property
     def _log_norms(self) -> np.ndarray:
         """ln(N_n / sqrt(beta)) of every bound mode n, at index n (the bound modes are 0..K)."""
-        return np.array([_log_norm(self.nu, n) for n in self.bound_modes()])
+        return np.array([_log_norm(self.nu, n) for n in range(self.top_mode + 1)])
 
     # -- pointwise evaluation -----------------------------------------------
 
@@ -443,6 +445,12 @@ class MorseBasis:
         log_norm = 0.5 * math.log(self.beta) + self._log_norms[modes]
         with np.errstate(over="ignore"):
             return z, log_norm[:, None] + (self.p - modes)[:, None] * log_z - 0.5 * z
+
+    def _log_density(self, modes: np.ndarray, log_z: np.ndarray) -> np.ndarray:
+        """g = ln |phi_n|^2 at each ln z, one row per mode: the one sampler of the support scans."""
+        z, log_pre = self._envelope(modes, log_z)
+        _, log_lag = laguerre_signed_log(modes, 2.0 * (self.p - modes), z)
+        return 2.0 * (log_pre + log_lag)
 
     def _rows(self, modes, x: np.ndarray, derivative: bool = False):
         """phi_n on the 1D positions x, one row per mode (ascending); with ``derivative``, also phi_n'.
@@ -516,7 +524,7 @@ class MorseBasis:
         """
         if self._support is not None:
             return self._support
-        modes = self.bound_modes()
+        modes = range(self.top_mode + 1)
         self._scan(modes[-2:])
         boxes = [self._boxes[n] for n in modes if n in self._boxes]
         lo, hi = min(b[0] for b in boxes), max(b[1] for b in boxes)
@@ -532,9 +540,7 @@ class MorseBasis:
             sampled = outside.copy()
             sampled[::16] = True
             chunk = np.array(sorted(rest[i : i + _SCAN_ROWS]))
-            z, log_pre = self._envelope(chunk, us[sampled])
-            _, log_lag = laguerre_signed_log(chunk, 2.0 * (self.p - chunk), z)
-            g = 2.0 * (log_pre + log_lag)
+            g = self._log_density(chunk, us[sampled])
             inside = np.all(g[:, outside[sampled]] <= g.max(axis=1, keepdims=True) + log_cut, axis=1)
             unproved = chunk[~inside].tolist()
             self._scan(unproved)
@@ -565,9 +571,7 @@ class MorseBasis:
                 du = us[1] - us[0]
                 for i in range(0, len(group), _SCAN_ROWS):
                     chunk = np.array(sorted(group[i : i + _SCAN_ROWS]))
-                    z, log_pre = self._envelope(chunk, us)
-                    _, log_lag = laguerre_signed_log(chunk, 2.0 * (self.p - chunk), z)
-                    g = 2.0 * (log_pre + log_lag)
+                    g = self._log_density(chunk, us)
                     thresholds = g.max(axis=1) + log_cut
                     for n, row, threshold in zip(chunk.tolist(), g, thresholds.tolist()):
                         grow_lo = row[0] > threshold
@@ -605,7 +609,7 @@ class MorseBasis:
         tables come from one Laguerre pass over all their nodes.
         """
         if self._overlap is None:
-            top = self.bound_modes()[-1]
+            top = self.top_mode
             nodes, alpha = top + 1, self.nu - 2.0 * top - 2.0
             rows, check = self._overlap_rows(alpha, nodes, nodes + _CHECK_NODES)
             s = rows @ rows.T
@@ -623,18 +627,18 @@ class MorseBasis:
         """The table H of each Gauss-Laguerre rule (node count), from one Laguerre pass over all their nodes."""
         # h_n(z_i) = sqrt(w_i) N_n / sqrt(beta) z_i^(K-n) L_n^(2(p-n))(z_i), so that
         # S = H H^T.  Each |h_n(z_i)| <= 1 because sum_i h_n(z_i)^2 = S[n, n].
-        modes = np.array(self.bound_modes())
+        modes = np.arange(self.top_mode + 1)
         parts = _gauss_laguerre_rules(rules, alpha)
         z, log_w = (np.concatenate(column) for column in zip(*parts))
         log_z = np.log(z)
         sign, log_lag = laguerre_signed_log(modes, 2.0 * (self.p - modes), z)
         rows = sign * np.exp(0.5 * log_w + self._log_norms[:, None] + (modes[-1] - modes)[:, None] * log_z + log_lag)
         ends = np.cumsum([part[0].size for part in parts])[:-1]
-        return [_padded(block, modes, self.k + 1) for block in np.split(rows, ends, axis=1)]
+        return [_padded(block, self.k + 1) for block in np.split(rows, ends, axis=1)]
 
     def mode_tables(self, quad: QuadratureConfig) -> ModeTables:
         """All 1D matrices needed for moments on the support box, cached per rule."""
-        return self._mode_tables(quad, self.bound_modes()[-1])
+        return self._mode_tables(quad, self.top_mode)
 
     def _mode_tables(self, quad: QuadratureConfig, top: int) -> ModeTables:
         """``mode_tables`` with the rows of the modes above ``top`` left zero.
@@ -649,15 +653,14 @@ class MorseBasis:
             built, tables = self._tables[quad]
             if built >= top:
                 return tables
-            top = self.bound_modes()[-1]
+            top = self.top_mode
         box = self.support_box()
         # polynomial oscillation lives at z > e^-3; beyond that the density
         # is a bare exponential tail that a couple of wide panels capture.
         split = (math.log(self.nu) + 3.0) / self.beta
         x, w = quad.nodes(box[0], box[1], split=split)
-        modes = self.bound_modes()[: top + 1]
-        dim = self.k + 1
-        f, df = (_padded(rows, modes, dim) for rows in self._rows(modes, x, derivative=True))
+        modes = np.arange(top + 1)
+        f, df = (_padded(rows, self.k + 1) for rows in self._rows(modes, x, derivative=True))
         fw = f * w
         dfw = df * w
         hbar = self.physical.hbar
@@ -674,11 +677,9 @@ class MorseBasis:
         return tables
 
 
-def _padded(rows: np.ndarray, modes, dim: int) -> np.ndarray:
-    """The rows of ``modes`` placed in a (dim x samples) table whose other rows are zero."""
-    table = np.zeros((dim, rows.shape[1]))
-    table[modes] = rows
-    return table
+def _padded(rows: np.ndarray, dim: int) -> np.ndarray:
+    """The rows of modes 0, 1, ... followed by zero rows, as a (dim x samples) table."""
+    return np.concatenate([rows, np.zeros((dim - rows.shape[0], rows.shape[1]))])
 
 
 def _log_norm(nu: float, n: int) -> float:
@@ -731,9 +732,9 @@ def _matrix(columns, dim: int) -> np.ndarray:
 
 
 def _expand(basis: MorseBasis, state) -> tuple[np.ndarray, list[int]]:
-    """Coefficient matrix C of a state over the product basis, and the modes C uses; see ``_pair_columns``."""
+    """Coefficient matrix C of a state over the product basis, and the modes C uses (intp); see ``_pair_columns``."""
     columns, _, used = _pair_columns(basis, [state])
-    return _matrix(columns, basis.k + 1), used
+    return _matrix(columns, basis.k + 1), np.array(used, np.intp)
 
 
 def density_grid(basis: MorseBasis, state, grid: GridSpec | None = None) -> ScalarField2D:
@@ -741,18 +742,14 @@ def density_grid(basis: MorseBasis, state, grid: GridSpec | None = None) -> Scal
 
     ``state`` is a MuState or a coherent state (see ``_pair_columns``).
     Without an explicit grid, a square 400 x 400 grid over the scanned
-    support box is used.  The amplitude on the grid is assembled from the
-    1D mode values, which is exact for product expansions.
+    support box is used.  The amplitude is the used-mode block of C between
+    the 1D rows of the used modes, which is exact for product expansions.
     """
     if grid is None:
         lo, hi = basis.support_box()
         grid = GridSpec(lo, hi, lo, hi, 400, 400)
     c, used = _expand(basis, state)
-    xs = grid.x_centers()
-    ys = grid.y_centers()
-    fx = _padded(basis._rows(used, xs), used, basis.k + 1)
-    fy = _padded(basis._rows(used, ys), used, basis.k + 1)
-    amplitude = fx.T @ c @ fy
+    amplitude = basis._rows(used, grid.x_centers()).T @ c[np.ix_(used, used)] @ basis._rows(used, grid.y_centers())
     return ScalarField2D(grid, np.abs(amplitude) ** 2)
 
 
@@ -843,7 +840,7 @@ def _pair_columns(basis: MorseBasis, states: list) -> tuple:
     live = (gamma != 0.0) | (delta != 0.0)
     # not np.union1d: its first call imports numpy.ma, about 15 ms of each CLI process
     used = np.flatnonzero(np.bincount(np.concatenate([n[live], m[live]]))).tolist()
-    top = basis.bound_modes()[-1]
+    top = basis.top_mode
     if used and used[-1] > top:
         # the first pair with an unbound mode belongs to the first state that uses one
         owner = np.repeat(np.arange(len(states)), np.diff([*starts, n.size]))

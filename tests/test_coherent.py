@@ -552,9 +552,14 @@ class TestMoments:
                 for axis in ("x", "y"):
                     assert _axis_expectations(c, tables, axis) == axis_expectations_einsum(c, tables, axis)
 
-    def test_rejects_unknown_axis(self, basis_3pi, mu_3pi):
-        with pytest.raises(ValueError):
-            moments(basis_3pi, mu_3pi.states[0], axis="z")
+    def test_rejects_unknown_axis(self, p3pi, mu_3pi, monkeypatch):
+        # the axis is checked before any mode row is built
+        calls = []
+        rows = MorseBasis._rows
+        monkeypatch.setattr(MorseBasis, "_rows", lambda self, *args, **kw: calls.append(args) or rows(self, *args, **kw))
+        with pytest.raises(ValueError, match=r"^axis must be 'x' or 'y', got 'z'$"):
+            moments(MorseBasis(p3pi), mu_3pi.states[0], axis="z")
+        assert calls == []
 
 
 def _report_bits(call):

@@ -109,6 +109,12 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose("7.5", RATIONAL, ratio=Fraction(1, 3))
 
+    @pytest.mark.parametrize(("text", "mode"), [("3", INTEGER), ("3.5", IRRATIONAL)])
+    def test_ratio_outside_rational_mode_is_refused(self, text, mode):
+        # a dropped ratio would give epsilon 0 and 0.5, not 1/3
+        with pytest.raises(ValueError, match=f"^a ratio applies only in rational mode, not in {mode} mode$"):
+            decompose(text, mode, ratio="1/3")
+
     def test_irrational_mode_rejects_exact_integer(self):
         with pytest.raises(ValueError):
             decompose("9", IRRATIONAL)

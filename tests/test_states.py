@@ -130,6 +130,20 @@ class TestModeValues:
             basis.mode_values(9, 0.0)
         assert basis.bound_modes() == list(range(9))
 
+    @pytest.mark.parametrize(
+        ("text", "mode", "physical"),
+        [("0.3717", "irrational", False), ("1e-300", "irrational", False), ("9", "integer", False),
+         ("28", "integer", False), ("12.3717", "irrational", True), ("9", "integer", True)],
+    )
+    def test_bound_modes_follow_the_formula(self, text, mode, physical):
+        # k = 0, no bound mode at all (nu rounds to 1), mode k unbound at integer p, and wells from physical constants
+        param = decompose(text, mode)
+        depth = depth_for_principal(param.p_value, mass=1.7, beta=2.5, hbar=0.8)
+        basis = MorseBasis(param, PhysicalParams(1.7, depth, 2.5, 0.8) if physical else None)
+        bound = [n for n in range(basis.k + 1) if basis.nu - (2.0 * n + 1.0) > 0.0]
+        assert basis.bound_modes() == bound
+        assert [n for n in range(-1, basis.k + 2) if basis.mode_is_bound(n)] == bound
+
     def test_log_norms_are_computed_once_per_well(self, monkeypatch):
         calls = []
         original = states._log_norm
@@ -394,6 +408,70 @@ class TestDensity:
         xs, ys = grid.x_centers(), grid.y_centers()
         direct = np.abs(mu_wavefunction(basis_3pi, state, xs[:, None], ys[None, :])) ** 2
         assert np.allclose(field.values, direct, rtol=1e-12, atol=1e-15)
+
+    def test_state_without_terms_gives_a_zero_field(self, basis_3pi, mu_3pi, ladder_3pi):
+        # no used mode: the block is 0 x 0 and the rows are 0 x samples
+        empty = CoherentState(0.5, np.zeros(mu_3pi.xi + 1, dtype=complex), 0.0, mu_3pi, ladder_3pi)
+        field = density_grid(basis_3pi, empty, GridSpec(-1.0, 6.0, -1.0, 6.0, 20, 30))
+        assert _same_bits(field.values, np.zeros((20, 30)))
+
+
+class TestDensityOnUsedModes:
+    """density_grid contracts the used modes' block and equals the per-mode loop over all k + 1 rows bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        k=st.integers(min_value=0, max_value=60),
+        eps=st.floats(min_value=0.01, max_value=0.99),
+        gamma=st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+        delta=st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+        psi=st.one_of(st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False),
+                      st.sampled_from([20.0, 12.0 - 9.0j])),
+        level=st.integers(min_value=0, max_value=10**6),
+        shape=st.sampled_from([(40, 30), (400, 400)]),
+    )
+    def test_property_against_loop(self, k, eps, gamma, delta, psi, level, shape):
+        # a level state uses at most two of the K + 1 modes, a coherent state a few dozen
+        param = decompose(f"{k}.{round(eps * 10**12):012d}3717", "irrational")
+        spectrum = order_spectrum(param)
+        mu = build_mu_basis(spectrum, MixingCoefficients.normalized(gamma, delta))
+        basis = MorseBasis(param)
+        lo, hi = basis.support_box()
+        grid = GridSpec(lo, hi, lo - 0.5, hi, *shape)
+        chosen = [mu.states[level % len(mu.states)], mu.states[-1]]
+        if np.all(np.diff(spectrum.shifted_energies()) > 0.0):
+            chosen.append(coherent_coefficients(psi, ladder_f(spectrum), mu))
+        for state in chosen:
+            assert _same_bits(density_grid(basis, state, grid).values, density_grid_loop(basis, state, grid))
+
+    @pytest.mark.deep
+    @pytest.mark.parametrize("text", ["200.3717", "400.3717"])
+    def test_deep_coherent_states_against_loop(self, text):
+        param = decompose(text, "irrational")
+        spectrum = order_spectrum(param)
+        mu = build_mu_basis(spectrum, MixingCoefficients.normalized(0.6 - 0.2j, 0.3 + 0.7j))
+        ladder = ladder_f(spectrum)
+        basis = MorseBasis(param)
+        for psi in (0.5, 2.0, 20.0):
+            state = coherent_coefficients(psi, ladder, mu)
+            assert states._expand(basis, state)[1].size < basis.top_mode + 1
+            field = density_grid(basis, state)
+            assert _same_bits(field.values, density_grid_loop(basis, state, field.spec))
+
+    @pytest.mark.deep
+    @pytest.mark.parametrize("text", ["150.3717", "200.3717"])
+    def test_deep_level_states_against_loop(self, text):
+        # above k = 127 OpenBLAS's SkylakeX zgemm splits the loop's inner dimension k + 1 in two, so a level
+        # state with a mode on each side is summed in two roundings there and in one here: equal to rounding
+        param = decompose(text, "irrational")
+        basis = MorseBasis(param)
+        lo, hi = basis.support_box()
+        grid = GridSpec(lo, hi, lo, hi, 200, 200)
+        mix = MixingCoefficients.normalized(0.6 - 0.2j, 0.3 + 0.7j)
+        for n, m in ((param.k, 0), (param.k - 30, param.k // 3), (param.k // 2, param.k // 2)):
+            state = MuState(0, n, m, None if n == m else mix)
+            expected = density_grid_loop(basis, state, grid)
+            assert np.allclose(density_grid(basis, state, grid).values, expected, rtol=2e-15, atol=0.0)
 
 
 class TestOverlap:
