@@ -454,6 +454,12 @@ def gram_matrix_swap_pairs(basis, states):
     return np.add.reduceat(np.add.reduceat(g, starts, axis=0), starts, axis=1)
 
 
+def ladder_strengths_increase(spectrum):
+    """Whether ladder_f accepts the spectrum: e_i - e_0 must increase as doubles, which distinct energies alone do not give."""
+    energies = spectrum.shifted_energies()
+    return bool(np.all(np.diff(energies - energies[0]) > 0.0))
+
+
 def mu_states_eager(records, coeffs=None, overrides=None):
     """build_mu_basis's states by one loop over level records: |n, n>, or the doublet's pair or its override."""
     coeffs = coeffs or MixingCoefficients.equal_mix()

@@ -17,6 +17,7 @@ from oracles import (
     coefficient_matrix_from_states,
     density_grid_loop,
     enumerate_levels_loop,
+    ladder_strengths_increase,
     mu_states_eager,
 )
 
@@ -184,8 +185,8 @@ class TestCoherentColumns:
         except ValueError:
             return  # an accidental level: TestMuBasisColumns checks the refusal
         spectrum = order_spectrum(param)
-        # the ladder needs distinct float energies, which eps within ~1e-16 of a tie does not give
-        assume(np.all(np.diff(spectrum.shifted_energies()) > 0.0))
+        # the ladder needs increasing float gaps e_i - e_0, which eps within ~1e-16 of a tie does not give
+        assume(ladder_strengths_increase(spectrum))
         state = coherent_coefficients(magnitude * cmath.exp(1j * phase), ladder_f(spectrum),
                                       build_mu_basis(spectrum, mix, overrides))
         dim = param.k + 1
