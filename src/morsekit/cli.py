@@ -13,7 +13,6 @@ import json
 import math
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -104,22 +103,14 @@ def _load_config(path, commands) -> dict:
 
 
 def _parse_principal(p_raw, mode_raw):
+    """The PrincipalParameter of --p and --mode; a ratio after the mode goes to ``decompose`` as text."""
     if p_raw is None:
         raise ValueError("--p is required")
     p_text = str(p_raw).strip()
-    ratio = None
-    mode = None
+    mode, ratio = None, []
     if mode_raw is not None:
-        mode_text = str(mode_raw).strip().lower()
-        parts = re.split(r"[:\s]+", mode_text)
-        mode = parts[0]
-        if mode == "rational" and len(parts) == 2:
-            num, _, den = parts[1].partition("/")
-            try:
-                ratio = Fraction(int(num), int(den))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"cannot parse rational ratio {parts[1]!r}: {exc}")
-        elif len(parts) > 1:
+        mode, *ratio = re.split(r"[:\s]+", str(mode_raw).strip().lower())
+        if len(ratio) > 1:
             raise ValueError(f"unexpected mode arguments in {mode_raw!r}")
 
     match = _PI_PATTERN.match(p_text)
@@ -132,7 +123,7 @@ def _parse_principal(p_raw, mode_raw):
             raise ValueError("pi-multiple p is irrational; --mode must agree")
     if mode is None:
         raise ValueError("--mode is required (integer | irrational | rational[:R/Q])")
-    return spectrum.decompose(p_text, mode, ratio)
+    return spectrum.decompose(p_text, mode, *ratio)
 
 
 def _parsed(convert, raw, flag: str):
@@ -161,8 +152,9 @@ def _parse_complex(raw, flag: str) -> complex:
 
 
 def _parse_mixing(args):
+    """The doublet mixing pair of --gamma and --delta, or None for ``build_mu_basis``'s default."""
     if args.gamma is None and args.delta is None:
-        return states.MixingCoefficients.equal_mix()
+        return None
     if args.gamma is None or args.delta is None:
         raise ValueError("--gamma and --delta must be supplied together")
     return states.MixingCoefficients.normalized(
@@ -297,7 +289,7 @@ def cmd_density(args) -> int:
     outputs = [
         ("csv", "density.csv", fileio.write_density_csv, field),
         ("pgm", "density.pgm", fileio.write_density_pgm, field),
-        ("json", "density_meta.json", fileio.write_density_meta, field, param.p_text, label, coeffs, psi),
+        ("json", "density_meta.json", fileio.write_density_meta, field, param.p_text, label, mu_basis.coeffs, psi),
     ]
     if psi is not None:
         residual = coherent.bg_residual(state, ladder)

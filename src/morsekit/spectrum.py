@@ -159,9 +159,10 @@ def decompose(p, mode: str, ratio=None) -> PrincipalParameter:
     ``p`` is read through ``str(p)``: decimal text (preferred: it is kept
     verbatim as the exact text), an int or a float.  ``mode`` is one of
     "integer", "rational", "irrational".  Only rational mode takes ``ratio``,
-    the exact fraction for epsilon as anything ``Fraction`` accepts; if
-    omitted it is derived from the decimal text.  A supplied ratio that
-    disagrees with the text by more than 1e-12 is rejected as inconsistent.
+    the exact fraction for epsilon as anything ``Fraction`` accepts (one it
+    cannot read raises ValueError naming it); if omitted it is derived from
+    the decimal text.  A supplied ratio that disagrees with the text by more
+    than 1e-12 is rejected as inconsistent.
     A p with k above K_MAX is rejected with ValueError.
     """
     mode = str(mode).lower()
@@ -196,7 +197,10 @@ def decompose(p, mode: str, ratio=None) -> PrincipalParameter:
         if ratio is None:
             frac = eps
         else:
-            frac = Fraction(ratio)
+            try:
+                frac = Fraction(ratio)
+            except (ArithmeticError, TypeError, ValueError) as exc:
+                raise ValueError(f"cannot parse the epsilon ratio {ratio!r}: {exc}") from exc
             if not (0 <= frac < 1):
                 raise ValueError(f"epsilon ratio must lie in [0, 1), got {frac}")
             if abs(frac - eps) > Fraction(1, 10**12):
@@ -464,16 +468,12 @@ class OrderedSpectrum:
             else:
                 yield [n[j], m[j]], [m[j], n[j]], DOUBLET, a[j], b[j], energy
 
-    @functools.cached_property
-    def _member_index(self) -> dict[tuple[int, int], int]:
-        return {nm: i for i, rec in enumerate(self.levels) for nm in rec.members}
-
     def index_of(self, n: int, m: int) -> int:
-        """Level index mu that contains the state (n, m)."""
-        try:
-            return self._member_index[(n, m)]
-        except KeyError:
+        """Level index mu that holds the state (n, m): ``bounds`` placing its key's row; builds no record."""
+        row = np.flatnonzero((self.n == max(n, m)) & (self.m == min(n, m)))
+        if not row.size:
             raise ValueError(f"state ({n}, {m}) not in a spectrum with k = {self.parameter.k}")
+        return int(np.searchsorted(self.bounds, row[0], side="right")) - 1
 
     def shifted_energies(self) -> np.ndarray:
         return self._energies.copy()

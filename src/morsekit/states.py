@@ -520,10 +520,12 @@ class MorseBasis:
         maximum is at most the scan's, so thr is at most the scan's
         threshold.  A skipped mode's window would therefore not grow, and none
         of its samples above the threshold has an edge outside (lo, hi).  A
-        NaN fails "<=", so its mode goes to the full scan, as before.
+        NaN fails "<=", so its mode goes to the full scan, as before.  A
+        well with no bound mode raises ``_check_mode``'s ValueError for mode 0.
         """
         if self._support is not None:
             return self._support
+        self._check_mode(0)
         modes = range(self.top_mode + 1)
         self._scan(modes[-2:])
         boxes = [self._boxes[n] for n in modes if n in self._boxes]
@@ -606,9 +608,11 @@ class MorseBasis:
         checked once, when it is built, against 8 more nodes and raises
         QuadratureAccuracyError if an entry moves by more than 1e-7.  Both
         rules are polished in one pass (``_gauss_laguerre_rules``), and both
-        tables come from one Laguerre pass over all their nodes.
+        tables come from one Laguerre pass over all their nodes.  A well with
+        no bound mode raises ``_check_mode``'s ValueError for mode 0.
         """
         if self._overlap is None:
+            self._check_mode(0)
             top = self.top_mode
             nodes, alpha = top + 1, self.nu - 2.0 * top - 2.0
             rows, check = self._overlap_rows(alpha, nodes, nodes + _CHECK_NODES)

@@ -1,8 +1,35 @@
-"""Shared fixtures: the 3*pi reference well used across the suite."""
+"""Shared fixtures (the 3*pi reference well used across the suite) and the hypothesis profiles.
+
+Tier-1 loads the ``tier1`` profile: every property draws the same cases on
+every run, its own ``max_examples`` of them.  ``--hypothesis-profile=explore``
+draws random cases instead, EXPLORE_SCALE times as many per property, and
+prints a blob that replays any failure.
+"""
 
 import pytest
+from hypothesis import is_hypothesis_test, settings
 
 import morsekit as mk
+
+EXPLORE_SCALE = 5
+
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("explore", derandomize=False, print_blob=True)
+settings.load_profile("tier1")
+
+
+def pytest_collection_modifyitems(config, items):
+    """Under the explore profile, give each property EXPLORE_SCALE times its own max_examples."""
+    if config.getoption("--hypothesis-profile") != "explore":
+        return
+    scaled = set()
+    for item in items:
+        test = getattr(item, "function", None)
+        if is_hypothesis_test(test) and test not in scaled:
+            scaled.add(test)
+            # the settings a @given test runs with; a second @settings decorator is refused
+            own = test._hypothesis_internal_use_settings
+            test._hypothesis_internal_use_settings = settings(own, max_examples=EXPLORE_SCALE * own.max_examples)
 
 
 @pytest.fixture(scope="session")

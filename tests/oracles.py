@@ -775,6 +775,14 @@ def mode_value_mpmath(nu, p, n, x, dps=80):
         return norm * z ** (p - n) * mpmath.exp(-z / 2) * mpmath.laguerre(n, 2 * (p - n), z)
 
 
+def log_gamma_ulps(x, value, dps=40):
+    """|value - ln Gamma(x)| in units in the last place of the correctly rounded ln Gamma(x) (mpmath at ``dps`` digits)."""
+    with mpmath.workdps(dps):
+        exact = mpmath.loggamma(mpmath.mpf(x))
+        error = abs(mpmath.mpf(value) - exact)
+        return 0.0 if error == 0 else float(error / math.ulp(float(exact)))
+
+
 def diagonal_mean_x(nu, n, dps=40):
     """<x> of mode n: ln nu - psi(nu - 2n - 1) + sum_(j<n) 1 / (nu - n - 1 - j) (Vasan & Cross 1983; beta = 1)."""
     with mpmath.workdps(dps):

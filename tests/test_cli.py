@@ -646,6 +646,53 @@ class TestExitCodes:
         assert "yaml" in err
 
 
+# Each refused input exits 2 and writes nothing; stderr names the flag or the value.
+# {missing} is a config path that does not exist, {listed} a config file holding a JSON list.
+REFUSED_INPUTS = [
+    ("degeneracy --p 3.5 --mode rational:1/0", "cannot parse the epsilon ratio '1/0'"),
+    ("degeneracy --p 3.5 --mode rational:x/2", "cannot parse the epsilon ratio 'x/2'"),
+    ("degeneracy --p 3.5 --mode rational:3/2", "epsilon ratio must lie in [0, 1), got 3/2"),
+    ("degeneracy --p 3.5 --mode integer:1/2", "a ratio applies only in rational mode, not in integer mode"),
+    ("degeneracy --p 3.5 --mode rational:1:2", "unexpected mode arguments in 'rational:1:2'"),
+    ("degeneracy --p 3.5 --mode complex", "mode must be one of ('integer', 'rational', 'irrational'), got 'complex'"),
+    ("spectrum --mode integer", "--p is required"),
+    ("spectrum --p 3pi --config {missing}", "cannot read config file {missing}"),
+    ("spectrum --p 3pi --config {listed}", "config file must hold a JSON object"),
+    ("density --p 3pi --mu 0 --grid 10by10", "--grid must look like 400x400, got '10by10'"),
+    ("density --p 3pi --mu 0 --xrange 0:1:2", "--xrange must look like LO:HI, got '0:1:2'"),
+    ("density --p 3pi --mu 0 --yrange 2:1", "--yrange interval is empty: '2:1'"),
+    ("spectrum --p 3pi --format ,", "--format selected nothing"),
+    ("density --p 1e-300 --mode irrational --mu 0", "mode n = 0 has nu - (2n+1) = 0.0 <= 0 and is not normalizable"),
+    ("density --p 1e-300 --mode irrational --psi 1", "mode n = 0 has nu - (2n+1) = 0.0 <= 0 and is not normalizable"),
+]
+
+
+@pytest.mark.parametrize("command, message", REFUSED_INPUTS, ids=[c for c, _ in REFUSED_INPUTS])
+def test_refused_input_names_its_cause(command, message, tmp_path, capsys):
+    paths = {"missing": tmp_path / "missing.json", "listed": tmp_path / "listed.json"}
+    paths["listed"].write_text("[1]")
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, *command.format(**paths).split(), "--out", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message.format(**paths) in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("mode", ["rational:1/2", "rational 1/2", "rational: 1/2", "Rational:0.5", "rational:2/4"])
+def test_ratio_forms_give_the_declared_census(mode, tmp_path, capsys):
+    # the census of 3.5 with and without the ratio, and the same files
+    for name, declared in (("plain", "rational"), ("ratio", mode)):
+        code, out, err = run(capsys, "degeneracy", "--p", "3.5", "--mode", declared, "--out", str(tmp_path / name))
+        assert (code, out, err) == (0, "16 10 9 1\nwrote accidental_levels.csv accidental_levels.json\n", "")
+    for name in ("accidental_levels.csv", "accidental_levels.json"):
+        assert (tmp_path / "ratio" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+def test_readme_rational_call(tmp_path, capsys):
+    code, out, _ = run(capsys, "degeneracy", "--p", "3.3333333333333", "--mode", "rational 1/3", "--out", str(tmp_path))
+    assert (code, out.splitlines()[0]) == (0, "16 10 10 0")
+
+
 # sha256 of each --help text at 80 columns (argparse's layout as of Python 3.11).
 # Keeping the built-in defaults in argparse must leave every help text as it was.
 HELP_SHA256 = {

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
-from oracles import laguerre, laguerre_derivative, laguerre_signed_log_single
+from oracles import laguerre, laguerre_derivative, laguerre_signed_log_single, log_gamma_ulps
 from scipy.special import gammaln
 
 from morsekit import (
@@ -46,6 +46,19 @@ class TestLogGamma:
         out = log_gamma(np.array([1.0, 2.0, 3.0]))
         assert np.allclose(out, [0.0, 0.0, math.log(2.0)], atol=1e-14)
 
+
+
+@pytest.mark.parametrize(
+    "text",
+    [pi_multiple_text(3.0), "60.3717"] + [pytest.param(text, marks=pytest.mark.deep) for text in ("200.3717", "400.3717")],
+)
+def test_log_gamma_of_every_library_argument_within_4_ulp(text):
+    # n + 1 and nu - n of each bound mode, as _log_norm passes them; the port is at most
+    # 2.23 ulp off at these wells and math.lgamma 3.21, so the bound admits either kernel
+    basis = MorseBasis(decompose(text, "irrational"))
+    args = [n + 1.0 for n in basis.bound_modes()] + [basis.nu - n for n in basis.bound_modes()]
+    worst = max((log_gamma_ulps(x, log_gamma(x)), x) for x in args)
+    assert worst[0] <= 4.0, worst
 
 
 class TestLogGammaParity:

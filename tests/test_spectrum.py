@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -114,6 +115,16 @@ class TestDecompose:
         # a dropped ratio would give epsilon 0 and 0.5, not 1/3
         with pytest.raises(ValueError, match=f"^a ratio applies only in rational mode, not in {mode} mode$"):
             decompose(text, mode, ratio="1/3")
+
+    @pytest.mark.parametrize(
+        ("ratio", "reason"),
+        [("1/0", "Fraction(1, 0)"), ("x/2", "Invalid literal"), (math.inf, "Infinity"), ([1, 2], "argument should be")],
+    )
+    def test_unreadable_ratio_is_one_value_error_naming_it(self, ratio, reason):
+        # Fraction's ZeroDivisionError, ValueError, OverflowError and TypeError all become this message
+        with pytest.raises(ValueError, match=rf"^cannot parse the epsilon ratio {re.escape(repr(ratio))}: .*{re.escape(reason)}") as info:
+            decompose("3.5", RATIONAL, ratio=ratio)
+        assert type(info.value) is ValueError
 
     def test_irrational_mode_rejects_exact_integer(self):
         with pytest.raises(ValueError):
@@ -385,6 +396,26 @@ class TestOrderSpectrum:
         assert spectrum_3pi.index_of(9, 9) == 54
         with pytest.raises(ValueError):
             spectrum_3pi.index_of(10, 0)
+
+    @pytest.mark.parametrize(
+        ("text", "mode"),
+        [(pi_multiple_text(3.0), IRRATIONAL), ("28", INTEGER), ("12.25", RATIONAL), ("60.3717", IRRATIONAL)],
+    )
+    def test_index_of_matches_a_record_scan(self, text, mode):
+        spec = order_spectrum(decompose(text, mode))
+        scan = {nm: i for i, rec in enumerate(spec.levels) for nm in rec.members}
+        k = spec.parameter.k
+        assert len(scan) == (k + 1) ** 2
+        assert all(spec.index_of(n, m) == i for (n, m), i in scan.items())
+
+    @pytest.mark.deep
+    def test_index_of_builds_no_record(self):
+        spec = order_spectrum(decompose("400.3717", IRRATIONAL))
+        assert (spec.index_of(0, 0), spec.index_of(400, 400)) == (0, spec.xi)
+        for n, m in ((400, 0), (17, 200), (200, 17), (399, 398)):
+            row = spec.bounds[spec.index_of(n, m)]  # irrational: one key per level
+            assert (spec.n[row], spec.m[row]) == (max(n, m), min(n, m))
+        assert all(record is None for record in spec.levels._records)
 
     def test_epsilon_dependent_order_flip(self):
         # at k=3 the (3,0) doublet and (1,1) singlet swap order across eps = 1/2

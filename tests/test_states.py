@@ -145,6 +145,12 @@ class TestModeValues:
         assert basis.bound_modes() == bound
         assert [n for n in range(-1, basis.k + 2) if basis.mode_is_bound(n)] == bound
 
+    def test_physical_constants_must_give_the_declared_p(self):
+        param = decompose("12.3717", "irrational")
+        physical = PhysicalParams(1.0, depth_for_principal(9.3717), 1.0, 1.0)
+        with pytest.raises(ValueError, match=r"^physical parameters give p = 9\.3717.*, but the principal parameter declares 12\.3717$"):
+            MorseBasis(param, physical)
+
     def test_log_norms_are_computed_once_per_well(self, monkeypatch):
         calls = []
         original = states._log_norm
@@ -195,6 +201,25 @@ class TestModeValues:
         for n in (0, 1, 2):
             mlo, mhi = small_basis.mode_box(n)
             assert lo <= mlo and mhi <= hi
+
+
+# at p = 1e-300, nu = 2p + 1 rounds to 1, so no mode is bound (top_mode is -1)
+NO_BOUND_MODE = r"^mode n = 0 has nu - \(2n\+1\) = 0\.0 <= 0 and is not normalizable$"
+NO_BOUND_CALLS = {
+    "support_box": lambda basis: basis.support_box(),
+    "mode_box": lambda basis: basis.mode_box(0),
+    "overlap_table": lambda basis: basis.overlap_table(),
+    "mode_tables": lambda basis: basis.mode_tables(QuadratureConfig()),
+    "gram_matrix": lambda basis: gram_matrix(basis, [MuState(0, 0, 0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_BOUND_CALLS))
+def test_well_with_no_bound_mode_is_refused_by_name(name):
+    basis = MorseBasis(decompose("1e-300", "irrational"))
+    assert basis.top_mode == -1
+    with pytest.raises(ValueError, match=NO_BOUND_MODE):
+        NO_BOUND_CALLS[name](basis)
 
 
 class TestEigenfunction:
