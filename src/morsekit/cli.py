@@ -1,8 +1,11 @@
 """Command-line surface: spectrum, degeneracy, density and uncertainty runs.
 
 Exit codes: 0 success, 2 usage or parameter problem, 3 ordering ambiguity,
-4 quadrature accuracy.  Library calls go through their modules
-(``spectrum.order_spectrum``), so a replaced module attribute is the one called.
+4 quadrature accuracy.  Commands print only after their files are written,
+so a reader that closes stdout early (``| head -n 1``) ends a finished run:
+the rest of stdout goes to os.devnull, quietly, with exit 0.  Library calls
+go through their modules (``spectrum.order_spectrum``), so a replaced module
+attribute is the one called.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import argparse
 import cmath
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -254,12 +258,11 @@ def cmd_degeneracy(args) -> int:
     param, _, out, formats = _setup(args)
     ordered = spectrum.order_spectrum(param)
     census = spectrum.count_summary(ordered.levels)
-    print(f"{census.total_states} {census.swap_reduced} {census.distinct} {census.accidental}")
     outputs = [
         ("csv", "accidental_levels.csv", fileio.write_spectrum_csv, ordered, "accidental"),
         ("json", "accidental_levels.json", fileio.write_spectrum_json, ordered, "accidental"),
     ]
-    _write(out, formats, outputs)
+    _write(out, formats, outputs, f"{census.total_states} {census.swap_reduced} {census.distinct} {census.accidental}")
     return 0
 
 
@@ -347,7 +350,13 @@ def main(argv=None) -> int:
             # precedence: explicit flag > config file > built-in default
             commands[args.command].set_defaults(**_load_config(args.config, commands))
             args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone after the files were written; the unsent rest of stdout goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, errors.NoBoundStatesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,7 +5,7 @@ factorials [f(n)]! underflow and overflow doubles quickly; every quantity
 here is accumulated in log space and exponentiated only at the end.  The
 truncation residual of the lowering-operator identity has a closed form; a
 high-precision direct evaluation of the ladder action is provided as an
-independent cross-check.
+independent cross-check.  ``uncertainty_sweep`` calls ``states.moments`` as ``coherent.moments``.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import QuadratureAccuracyError
 from .spectrum import OrderedSpectrum
-from .states import _REFINE_TOL, ModeTables, MorseBasis, MuBasis, QuadratureConfig, _columns, _expand, _matrix
+from .states import MomentReport, MorseBasis, MuBasis, _columns, _matrix, moments
 
 __all__ = [
     "LadderSpectrum",
@@ -29,8 +28,6 @@ __all__ = [
     "bg_residual",
     "log_bg_residual",
     "bg_residual_direct",
-    "MomentReport",
-    "moments",
     "SweepPoint",
     "uncertainty_sweep",
     "first_separation",
@@ -249,102 +246,6 @@ def bg_residual_direct(state: CoherentState, ladder: LadderSpectrum) -> float:
     gaps = [r * hi - apsi * lo for r, lo, hi in zip(roots, e, e[1:])]
     gaps.append(apsi * e[-1])
     return _float_root(sum(g * g for g in gaps), sum(x * x for x in e) << 2 * bits)
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """First and second moments of position and momentum along one axis."""
-
-    mode: str
-    mean_q: float
-    mean_q2: float
-    mean_p: float
-    mean_p2: float
-
-    @property
-    def var_q(self) -> float:
-        return self.mean_q2 - self.mean_q**2
-
-    @property
-    def var_p(self) -> float:
-        return self.mean_p2 - self.mean_p**2
-
-    @property
-    def dq(self) -> float:
-        return math.sqrt(self.var_q)
-
-    @property
-    def dp(self) -> float:
-        return math.sqrt(self.var_p)
-
-    @property
-    def product(self) -> float:
-        """Variance product (dq dp)^2; bounded below by 1/4 in hbar = 1 units."""
-        return self.var_q * self.var_p
-
-
-def _axis_expectations(c: np.ndarray, tables: ModeTables, axis: str) -> MomentReport:
-    """<A (x) S> along x or <S (x) A> along y, on the contraction path einsum picks.
-
-    sum_abcd conj(c_ab) c_cd L_ac R_bd = sum_bc [(L^T conj(c))^T]_bc [R c^T]_bc,
-    where the operator A sits in L for x and in R for y; the factor holding
-    the overlap S is formed once.  The final sum is einsum's own dot product,
-    so every value is the one einsum returns.
-    """
-    s = tables.overlap_1d
-    pairs = {
-        "q": tables.position,
-        "q2": tables.position_sq,
-        "p": tables.momentum,
-        "p2": tables.momentum_sq,
-    }
-    if axis == "x":
-        right = (s @ c.T).reshape(1, -1)
-        braket = lambda a: (right @ (a.T @ np.conj(c)).T.reshape(-1, 1)).item()
-    else:
-        left = (s.T @ np.conj(c)).T.reshape(-1, 1)
-        braket = lambda a: ((a @ c.T).reshape(1, -1) @ left).item()
-    norm = braket(s).real
-    mean = {name: braket(op) / norm for name, op in pairs.items()}
-    return MomentReport(
-        mode=axis,
-        mean_q=mean["q"].real,
-        mean_q2=mean["q2"].real,
-        mean_p=(-1j * mean["p"]).real,
-        mean_p2=mean["p2"].real,
-    )
-
-
-def moments(basis: MorseBasis, state, axis: str = "x", quad: QuadratureConfig | None = None) -> MomentReport:
-    """Position/momentum moments of a state along one axis, refinement-checked.
-
-    The report is computed on the base rule and on a doubled rule; any moment
-    moving by more than 1e-7 (relative to scale) raises
-    QuadratureAccuracyError.  The refined report is returned.  All
-    expectations are normalized by the quadrature norm of the state, so tiny
-    normalization drift cancels.
-
-    The tables are built only up to the state's top mode (see
-    ``MorseBasis._mode_tables``): the zero rows above it meet the exact
-    zeros of the state's coefficients, so the report is the one the full
-    tables give, bit for bit.
-    """
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    quad = quad or QuadratureConfig()
-    c, used = _expand(basis, state)
-    top = max(used, default=0)
-    coarse = _axis_expectations(c, basis._mode_tables(quad, top), axis)
-    fine = _axis_expectations(c, basis._mode_tables(quad.refined(), top), axis)
-    for name in ("mean_q", "mean_q2", "mean_p", "mean_p2"):
-        a, b = getattr(coarse, name), getattr(fine, name)
-        delta, limit = abs(a - b), _REFINE_TOL * max(1.0, abs(b))
-        if delta > limit:
-            raise QuadratureAccuracyError(
-                f"{name} along {axis} moved by {delta:.3e} under refinement",
-                quantity=f"{name} along {axis}", delta=delta, tol=limit, rule=quad,
-            )
-    return fine
 
 
 @dataclass(frozen=True)

@@ -357,10 +357,6 @@ def count_summary(levels: LevelSequence) -> CountSummary:
     return CountSummary(total, n.size, distinct, n.size - distinct)
 
 
-# Records a LevelSequence builds at once while it is iterated.
-_RECORD_CHUNK = 1024
-
-
 class LevelSequence(Sequence):
     """The levels of an ordered spectrum as a read-only sequence of LevelRecords.
 
@@ -388,15 +384,11 @@ class LevelSequence(Sequence):
         if not 0 <= i < len(self):
             raise IndexError(f"level index {index} out of range 0..{len(self) - 1}")
         if self._records[i] is None:
-            self._build(i, i + 1)
+            next(self._filled(i, i + 1))
         return self._records[i]
 
     def __iter__(self):
-        for start in range(0, len(self), _RECORD_CHUNK):
-            stop = min(start + _RECORD_CHUNK, len(self))
-            if None in self._records[start:stop]:
-                self._build(start, stop)
-            yield from self._records[start:stop]
+        return self._filled(0, len(self))
 
     def __eq__(self, other):
         if not isinstance(other, (tuple, list, LevelSequence)):
@@ -408,12 +400,13 @@ class LevelSequence(Sequence):
     def __repr__(self) -> str:
         return f"LevelSequence({len(self)} levels, p = {self.spectrum.parameter.p_text})"
 
-    def _build(self, start: int, stop: int) -> None:
-        """Build the records of levels start .. stop - 1 not built yet."""
+    def _filled(self, start: int, stop: int):
+        """The records of levels start .. stop - 1 in one pass, each built as it is reached if not built yet."""
         for i, (n_list, m_list, label, a, b, energy) in zip(range(start, stop), self.spectrum._fields(start, stop)):
             if self._records[i] is None:
                 members = tuple(zip(n_list, m_list))
                 self._records[i] = LevelRecord(LevelKey(a, b), members, len(members), energy, label)
+            yield self._records[i]
 
 
 @dataclass(frozen=True, eq=False)

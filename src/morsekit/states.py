@@ -1,11 +1,13 @@
-"""Position-space bound states, mixed doublet states and grid/quadrature tools.
+"""Position-space bound states, mixed doublet states, quadrature tables and the moments read from them.
 
 The 2D eigenfunctions factorize into 1D Morse modes in x and y.  Every mode
 is evaluated through its logarithm: the normalization contains Gamma(nu - n)
 and the profile contains z^(p-n) with z = nu exp(-beta x), both of which
 overflow doubles for wells a few hundred levels deep.  Signs are carried
 separately so the final values are exact IEEE doubles wherever they are
-representable at all.
+representable at all.  Quadrature is trusted here alone: the exact overlap
+table and ``moments`` each pass a refinement check at 1e-7, and both refuse
+through ``_check_refinement``.
 """
 
 from __future__ import annotations
@@ -35,11 +37,13 @@ __all__ = [
     "ScalarField2D",
     "QuadratureConfig",
     "ModeTables",
+    "MomentReport",
     "MorseBasis",
     "normalization",
     "eigenfunction",
     "density_grid",
     "gram_matrix",
+    "moments",
 ]
 
 # One tolerance for both refinement checks: absolute on the overlap table (|S| <= 1), relative for moments.
@@ -373,6 +377,38 @@ class ModeTables:
     momentum_sq: np.ndarray
 
 
+@dataclass(frozen=True)
+class MomentReport:
+    """First and second moments of position and momentum along one axis."""
+
+    mode: str
+    mean_q: float
+    mean_q2: float
+    mean_p: float
+    mean_p2: float
+
+    @property
+    def var_q(self) -> float:
+        return self.mean_q2 - self.mean_q**2
+
+    @property
+    def var_p(self) -> float:
+        return self.mean_p2 - self.mean_p**2
+
+    @property
+    def dq(self) -> float:
+        return math.sqrt(self.var_q)
+
+    @property
+    def dp(self) -> float:
+        return math.sqrt(self.var_p)
+
+    @property
+    def product(self) -> float:
+        """Variance product (dq dp)^2; bounded below by 1/4 in hbar = 1 units."""
+        return self.var_q * self.var_p
+
+
 class MorseBasis:
     """Evaluation engine for the 1D modes and 2D bound states of one well.
 
@@ -617,13 +653,8 @@ class MorseBasis:
             nodes, alpha = top + 1, self.nu - 2.0 * top - 2.0
             rows, check = self._overlap_rows(alpha, nodes, nodes + _CHECK_NODES)
             s = rows @ rows.T
-            delta = float(np.abs(s - check @ check.T).max())
-            if delta > _REFINE_TOL:
-                raise QuadratureAccuracyError(
-                    f"overlap table moved by {delta:.3e} from {nodes} to "
-                    f"{nodes + _CHECK_NODES} Gauss-Laguerre nodes (alpha = {alpha!r})",
-                    quantity="overlap table", delta=delta, tol=_REFINE_TOL, rule=(nodes, alpha),
-                )
+            _check_refinement("overlap table", float(np.abs(s - check @ check.T).max()), _REFINE_TOL, (nodes, alpha),
+                              f"from {nodes} to {nodes + _CHECK_NODES} Gauss-Laguerre nodes (alpha = {alpha!r})")
             self._overlap = s
         return self._overlap
 
@@ -684,6 +715,13 @@ class MorseBasis:
 def _padded(rows: np.ndarray, dim: int) -> np.ndarray:
     """The rows of modes 0, 1, ... followed by zero rows, as a (dim x samples) table."""
     return np.concatenate([rows, np.zeros((dim - rows.shape[0], rows.shape[1]))])
+
+
+def _check_refinement(quantity: str, delta: float, tol: float, rule, how: str = "under refinement") -> None:
+    """The refinement checks' one refusal: "<quantity> moved by <delta> <how>", formatted only if delta > tol."""
+    if delta > tol:
+        raise QuadratureAccuracyError(f"{quantity} moved by {delta:.3e} {how}",
+                                      quantity=quantity, delta=delta, tol=tol, rule=rule)
 
 
 def _log_norm(nu: float, n: int) -> float:
@@ -816,6 +854,65 @@ def gram_matrix(basis: MorseBasis, states, quad: QuadratureConfig | None = None)
         if buffer is not None:
             np.add.at(g, owner[block], np.add.reduceat(out, starts, axis=1))
     return g
+
+
+def _axis_expectations(c: np.ndarray, tables: ModeTables, axis: str) -> MomentReport:
+    """<A (x) S> along x or <S (x) A> along y, on the contraction path einsum picks.
+
+    sum_abcd conj(c_ab) c_cd L_ac R_bd = sum_bc [(L^T conj(c))^T]_bc [R c^T]_bc,
+    where the operator A sits in L for x and in R for y; the factor holding
+    the overlap S is formed once.  The final sum is einsum's own dot product,
+    so every value is the one einsum returns.
+    """
+    s = tables.overlap_1d
+    pairs = {
+        "q": tables.position,
+        "q2": tables.position_sq,
+        "p": tables.momentum,
+        "p2": tables.momentum_sq,
+    }
+    if axis == "x":
+        right = (s @ c.T).reshape(1, -1)
+        braket = lambda a: (right @ (a.T @ np.conj(c)).T.reshape(-1, 1)).item()
+    else:
+        left = (s.T @ np.conj(c)).T.reshape(-1, 1)
+        braket = lambda a: ((a @ c.T).reshape(1, -1) @ left).item()
+    norm = braket(s).real
+    mean = {name: braket(op) / norm for name, op in pairs.items()}
+    return MomentReport(
+        mode=axis,
+        mean_q=mean["q"].real,
+        mean_q2=mean["q2"].real,
+        mean_p=(-1j * mean["p"]).real,
+        mean_p2=mean["p2"].real,
+    )
+
+
+def moments(basis: MorseBasis, state, axis: str = "x", quad: QuadratureConfig | None = None) -> MomentReport:
+    """Position/momentum moments of a state along one axis, refinement-checked.
+
+    The report is computed on the base rule and on a doubled rule; any moment
+    moving by more than 1e-7 (relative to scale) raises
+    QuadratureAccuracyError.  The refined report is returned.  All
+    expectations are normalized by the quadrature norm of the state, so tiny
+    normalization drift cancels.
+
+    The tables are built only up to the state's top mode (see
+    ``MorseBasis._mode_tables``): the zero rows above it meet the exact
+    zeros of the state's coefficients, so the report is the one the full
+    tables give, bit for bit.
+    """
+    if axis not in ("x", "y"):
+        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+    quad = quad or QuadratureConfig()
+    c, used = _expand(basis, state)
+    top = max(used, default=0)
+    coarse = _axis_expectations(c, basis._mode_tables(quad, top), axis)
+    fine = _axis_expectations(c, basis._mode_tables(quad.refined(), top), axis)
+    for name in ("mean_q", "mean_q2", "mean_p", "mean_p2"):
+        a, b = getattr(coarse, name), getattr(fine, name)
+        _check_refinement(f"{name} along {axis}", abs(a - b), _REFINE_TOL * max(1.0, abs(b)), quad)
+    return fine
 
 
 def _pair_columns(basis: MorseBasis, states: list) -> tuple:

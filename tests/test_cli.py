@@ -899,6 +899,28 @@ assert "mpmath" not in sys.modules
     run_fresh(script)
 
 
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+@pytest.mark.parametrize("lines_read", [0, 1], ids=["reader-closed-at-once", "reader-closed-after-one-line"])
+def test_closed_stdout_ends_a_finished_run(buffering, lines_read, tmp_path):
+    # `morsekit degeneracy ... | true` and `| head -n 1`: exit 0, nothing on stderr, both files written
+    src = str(Path(morsekit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if buffering == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = ["degeneracy", "--p", "28", "--mode", "integer", "--out", str(tmp_path / "run")]
+    proc = subprocess.Popen([sys.executable, "-m", "morsekit.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    if lines_read:
+        assert proc.stdout.readline() == b"841 435 360 75\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (0, b"")
+    assert sorted(path.name for path in (tmp_path / "run").iterdir()) == ["accidental_levels.csv",
+                                                                         "accidental_levels.json"]
+
+
 def run_fresh(script):
     src = str(Path(morsekit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -49,7 +49,7 @@ from morsekit import (
     uncertainty_sweep,
 )
 from morsekit import coherent
-from morsekit.coherent import _axis_expectations
+from morsekit.states import _axis_expectations
 from morsekit.states import _expand
 
 
