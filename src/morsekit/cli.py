@@ -3,9 +3,10 @@
 Exit codes: 0 success, 2 usage or parameter problem, 3 ordering ambiguity,
 4 quadrature accuracy.  Commands print only after their files are written,
 so a reader that closes stdout early (``| head -n 1``) ends a finished run:
-the rest of stdout goes to os.devnull, quietly, with exit 0.  Library calls
-go through their modules (``spectrum.order_spectrum``), so a replaced module
-attribute is the one called.
+the rest of stdout goes to os.devnull, quietly, with exit 0, and so does
+``--help``.  Library calls go through their modules
+(``spectrum.order_spectrum``), so a replaced module attribute is the one
+called.
 """
 
 from __future__ import annotations
@@ -280,7 +281,7 @@ def cmd_density(args) -> int:
         index = _parsed(lambda raw: int(str(raw)), args.mu, "--mu")
         if not 0 <= index <= ordered.xi:
             raise ValueError(f"--mu must lie in 0..{ordered.xi}, got {index}")
-        state = mu_basis.states[index]
+        state = mu_basis.state(index)
         label = f"mu_{index}"
     else:
         psi = _parse_complex(args.psi, "--psi")
@@ -342,19 +343,20 @@ def cmd_uncertainty(args) -> int:
 def main(argv=None) -> int:
     parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        if args.config is not None:
-            # precedence: explicit flag > config file > built-in default
-            commands[args.command].set_defaults(**_load_config(args.config, commands))
+        try:
             args = parser.parse_args(argv)
-        code = args.func(args)
+            if args.config is not None:
+                # precedence: explicit flag > config file > built-in default
+                commands[args.command].set_defaults(**_load_config(args.config, commands))
+                args = parser.parse_args(argv)
+        except SystemExit as exc:  # after --help, or a usage error argparse has printed
+            code = int(exc.code or 0)
+        else:
+            code = args.func(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # the reader is gone after the files were written; the unsent rest of stdout goes nowhere
+        # the reader is gone after the files or the help were written; the unsent rest of stdout goes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except (ValueError, errors.NoBoundStatesError) as exc:

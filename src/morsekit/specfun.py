@@ -38,11 +38,6 @@ _RESCALE_LOG = 512.0 * np.log(2.0)
 _BLOCK = 2**15
 
 
-def _prepare(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
-
-
 # Coefficients of the cephes ``lgam`` kernel (S. L. Moshier, Cephes Math
 # Library): B/C give ln Gamma(2 + x) on [0, 1) as x B(x)/C(x), A is the
 # Stirling correction series in 1/x^2.
@@ -112,23 +107,17 @@ def _lgam(x: float) -> float:
     return q + p
 
 
-def log_gamma(x):
-    """ln Gamma(x) for real x > 0, scalar or array.
+def log_gamma(x) -> float:
+    """ln Gamma(x) for one real number x > 0.
 
     A pure-Python port of the cephes ``lgam`` kernel restricted to the
     positive axis, where the result is real and the bound-state formulas
-    live.  A Python int or float skips the numpy round trip.
+    live.  ``x`` is read as ``float(x)``.
     """
-    if isinstance(x, (int, float)):
-        if not x > 0.0:
-            raise ValueError("log_gamma requires strictly positive arguments")
-        return _lgam(float(x))
-    arr, scalar = _prepare(x)
-    if np.any(~(arr > 0.0)):
+    x = float(x)
+    if not x > 0.0:
         raise ValueError("log_gamma requires strictly positive arguments")
-    if scalar:
-        return _lgam(float(arr))
-    return np.array([_lgam(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
+    return _lgam(x)
 
 
 def laguerre_signed_log(n, alpha, x) -> tuple[np.ndarray, np.ndarray]:
@@ -164,7 +153,7 @@ def laguerre_signed_log(n, alpha, x) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("polynomial degree must be non-negative")
     if (alphas <= -1.0).any():
         raise ValueError("alpha must exceed -1 for an orthogonal family")
-    arr, scalar = _prepare(x)
+    arr = np.asarray(x, dtype=float)
     flat = arr.reshape(-1)
     degrees, alphas = degrees.reshape(-1), alphas.reshape(-1)
     sign = np.empty((degrees.size, flat.size))
@@ -177,7 +166,7 @@ def laguerre_signed_log(n, alpha, x) -> tuple[np.ndarray, np.ndarray]:
         _recur(degrees[block].tolist(), alphas[block, None], flat, sign[block], log_abs[block])
     if rowwise:
         return sign.reshape(degrees.shape + arr.shape), log_abs.reshape(degrees.shape + arr.shape)
-    if scalar:
+    if arr.ndim == 0:
         return float(sign[0, 0]), float(log_abs[0, 0])
     return sign[0].reshape(arr.shape), log_abs[0].reshape(arr.shape)
 

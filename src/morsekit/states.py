@@ -136,19 +136,18 @@ class MuState:
 
 @dataclass(frozen=True, eq=False)
 class MuBasis:
-    """All xi + 1 level states of one ordered spectrum, indexed mu_0 .. mu_xi, held as columns.
+    """All xi + 1 level states of one ordered spectrum, indexed mu_0 .. mu_xi.
 
-    Level i is |n_i, n_i> or gamma[i] |n_i, m_i> + delta[i] |m_i, n_i>,
-    with n_i >= m_i the spectrum's key columns.  ``gamma`` and ``delta``
-    hold each doublet's mixing pair (``coeffs`` or its override) and
-    (1, 0) at singlets.  ``states`` builds the MuState objects on first
-    access.
+    Level i is |n_i, n_i> or gamma |n_i, m_i> + delta |m_i, n_i>, with
+    n_i >= m_i the spectrum's key columns and (gamma, delta) = ``coeffs``,
+    the one mixing pair of every doublet.  ``state(i)`` builds level i's
+    MuState, and ``states`` maps it over every level on first access.  The
+    ``gamma`` and ``delta`` columns hold that pair at doublets and (1, 0) at
+    singlets.
     """
 
     spectrum: OrderedSpectrum
     coeffs: MixingCoefficients
-    gamma: np.ndarray
-    delta: np.ndarray
 
     @property
     def parameter(self) -> PrincipalParameter:
@@ -163,31 +162,31 @@ class MuBasis:
         return self.parameter.k + 1
 
     @functools.cached_property
+    def gamma(self) -> np.ndarray:
+        return np.where(self.spectrum.n == self.spectrum.m, 1.0 + 0.0j, self.coeffs.gamma)
+
+    @functools.cached_property
+    def delta(self) -> np.ndarray:
+        return np.where(self.spectrum.n == self.spectrum.m, 0.0j, self.coeffs.delta)
+
+    def state(self, i: int) -> MuState:
+        """Level i's state: |n_i, n_i> at a singlet, ``coeffs`` on |n_i, m_i> and |m_i, n_i> at a doublet."""
+        n, m = int(self.spectrum.n[i]), int(self.spectrum.m[i])
+        return MuState(i, n, m) if n == m else MuState(i, n, m, self.coeffs)
+
+    @functools.cached_property
     def states(self) -> tuple[MuState, ...]:
-        common = (self.coeffs.gamma, self.coeffs.delta)
-        levels = zip(self.spectrum.n.tolist(), self.spectrum.m.tolist(), self.gamma.tolist(), self.delta.tolist())
-        return tuple(
-            MuState(i, n, m) if n == m
-            else MuState(i, n, m, self.coeffs if (g, d) == common else MixingCoefficients(g, d))
-            for i, (n, m, g, d) in enumerate(levels)
-        )
+        return tuple(map(self.state, range(self.xi + 1)))
 
 
-def build_mu_basis(
-    spectrum: OrderedSpectrum,
-    coeffs: MixingCoefficients | None = None,
-    overrides: dict[int, MixingCoefficients] | None = None,
-) -> MuBasis:
-    """Attach one state to every level: |n, n> for singlets, a mixed pair for doublets.
+def build_mu_basis(spectrum: OrderedSpectrum, coeffs: MixingCoefficients | None = None) -> MuBasis:
+    """Attach one state to every level: |n, n> for singlets, one mixing pair for every doublet.
 
-    ``coeffs`` is the common mixing pair for all doublets (equal mix by
-    default); ``overrides`` may replace it at individual doublet level
-    indices.  An override at a singlet or at an index outside 0..xi raises
-    ValueError naming the index.  Any accidental level makes the
-    single-state-per-level construction ill-defined and raises ValueError.
+    ``coeffs`` is that pair (equal mix by default).  A caller who wants
+    another pair on one level builds that level's MuState by hand.  Any
+    accidental level makes the single-state-per-level construction
+    ill-defined and raises ValueError.
     """
-    if coeffs is None:
-        coeffs = MixingCoefficients.equal_mix()
     merged = np.flatnonzero(np.diff(spectrum.bounds) > 1)
     if merged.size:
         i = int(merged[0])
@@ -196,17 +195,7 @@ def build_mu_basis(
             f"level {i} with key {rec.key} holds {rec.multiplicity} states; "
             "a one-state-per-level basis needs a spectrum free of accidental degeneracy"
         )
-    diagonal = spectrum.n == spectrum.m
-    gamma = np.where(diagonal, 1.0 + 0.0j, coeffs.gamma)
-    delta = np.where(diagonal, 0.0j, coeffs.delta)
-    for i, pair in (overrides or {}).items():
-        if not (isinstance(i, (int, np.integer)) and 0 <= i <= spectrum.xi):
-            raise ValueError(f"override at level {i!r}: the level indices are 0..{spectrum.xi}")
-        if diagonal[i]:
-            n = spectrum.n[i]
-            raise ValueError(f"override at level {i}: the singlet |{n}, {n}> has no mixing pair")
-        gamma[i], delta[i] = pair.gamma, pair.delta
-    return MuBasis(spectrum, coeffs, gamma, delta)
+    return MuBasis(spectrum, MixingCoefficients.equal_mix() if coeffs is None else coeffs)
 
 
 @dataclass(frozen=True)

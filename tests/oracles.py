@@ -460,10 +460,9 @@ def ladder_strengths_increase(spectrum):
     return bool(np.all(np.diff(energies - energies[0]) > 0.0))
 
 
-def mu_states_eager(records, coeffs=None, overrides=None):
-    """build_mu_basis's states by one loop over level records: |n, n>, or the doublet's pair or its override."""
+def mu_states_eager(records, coeffs=None):
+    """build_mu_basis's states by one loop over level records: |n, n>, or the doublet's pair."""
     coeffs = coeffs or MixingCoefficients.equal_mix()
-    overrides = overrides or {}
     states = []
     for i, rec in enumerate(records):
         if rec.classification == ACCIDENTAL:
@@ -472,7 +471,7 @@ def mu_states_eager(records, coeffs=None, overrides=None):
                 "a one-state-per-level basis needs a spectrum free of accidental degeneracy"
             )
         n, m = rec.members[0]
-        states.append(MuState(i, n, m) if n == m else MuState(i, n, m, overrides.get(i, coeffs)))
+        states.append(MuState(i, n, m) if n == m else MuState(i, n, m, coeffs))
     return tuple(states)
 
 

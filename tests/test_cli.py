@@ -815,6 +815,24 @@ def test_golden_bytes(command, tmp_path, capsys):
     assert written == GOLDEN_RUNS[command]["files"]
 
 
+@pytest.mark.deep
+def test_deep_level_density_builds_one_state(tmp_path, capsys, monkeypatch):
+    # --mu draws one level of the 80 601 at K_MAX, and only that level's MuState is built
+    built = []
+    original = states.MuState.__init__
+    monkeypatch.setattr(states.MuState, "__init__", lambda self, *a, **kw: built.append(a) or original(self, *a, **kw))
+    argv = ("density", "--p", "400.3717", "--mode", "irrational", "--mu", "0", "--grid", "50x50")
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert (code, err, built) == (0, "", [(0, 0, 0)])
+    assert out == "state=mu_0 value_max=5.3467368761765753e-14\nwrote density.csv density.pgm density_meta.json\n"
+    written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(tmp_path.iterdir())}
+    assert written == {
+        "density.csv": "1e67c34c3adda21c7c0f6b2e5b42df40a00bdfc177828a34c94e6fbba9e68412",
+        "density.pgm": "2e40867cbb072d6eda722ed4383fdf3f7b28e32129e9e32a730697ebf8fff833",
+        "density_meta.json": "dc1bb0924e89626c93b2990ca21aff2cd08c6e204131236a8c3b99e757922d10",
+    }
+
+
 # Every library call the CLI makes, with a run that reaches it.  The CLI looks
 # each name up on its module at call time, so a replaced attribute (a
 # benchmark span, a test double) is the one that runs.
@@ -899,18 +917,22 @@ assert "mpmath" not in sys.modules
     run_fresh(script)
 
 
-@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
-@pytest.mark.parametrize("lines_read", [0, 1], ids=["reader-closed-at-once", "reader-closed-after-one-line"])
-def test_closed_stdout_ends_a_finished_run(buffering, lines_read, tmp_path):
-    # `morsekit degeneracy ... | true` and `| head -n 1`: exit 0, nothing on stderr, both files written
+def _piped_cli(argv, buffering):
+    """A fresh ``python -m morsekit.cli`` with stdout and stderr as pipes, block-buffered unless asked."""
     src = str(Path(morsekit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("PYTHONUNBUFFERED", None)
     if buffering == "unbuffered":
         env["PYTHONUNBUFFERED"] = "1"
-    argv = ["degeneracy", "--p", "28", "--mode", "integer", "--out", str(tmp_path / "run")]
-    proc = subprocess.Popen([sys.executable, "-m", "morsekit.cli", *argv], env=env,
+    return subprocess.Popen([sys.executable, "-m", "morsekit.cli", *argv], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+@pytest.mark.parametrize("lines_read", [0, 1], ids=["reader-closed-at-once", "reader-closed-after-one-line"])
+def test_closed_stdout_ends_a_finished_run(buffering, lines_read, tmp_path):
+    # `morsekit degeneracy ... | true` and `| head -n 1`: exit 0, nothing on stderr, both files written
+    proc = _piped_cli(["degeneracy", "--p", "28", "--mode", "integer", "--out", str(tmp_path / "run")], buffering)
     if lines_read:
         assert proc.stdout.readline() == b"841 435 360 75\n"
     proc.stdout.close()
@@ -919,6 +941,18 @@ def test_closed_stdout_ends_a_finished_run(buffering, lines_read, tmp_path):
     assert (proc.wait(timeout=120), err) == (0, b"")
     assert sorted(path.name for path in (tmp_path / "run").iterdir()) == ["accidental_levels.csv",
                                                                          "accidental_levels.json"]
+
+
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["", "density"], ids=["top-level", "density"])
+def test_closed_stdout_ends_help_quietly(buffering, command):
+    # `morsekit --help | true`: argparse prints the help and exits inside the parse, which
+    # must meet the same closed-pipe handler as a command's output
+    proc = _piped_cli([*command.split(), "--help"], buffering)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (0, b"")
 
 
 def run_fresh(script):

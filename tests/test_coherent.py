@@ -188,7 +188,7 @@ class TestCoefficients:
     def test_coefficient_matrix_matches_level_sum(self, text):
         spectrum = order_spectrum(decompose(text, "irrational"))
         mix = MixingCoefficients.normalized(0.6 - 0.2j, 0.3 + 0.7j)
-        mu = build_mu_basis(spectrum, mix, {2: MixingCoefficients.normalized(-1.0, 1j)})
+        mu = build_mu_basis(spectrum, mix)
         dim = spectrum.parameter.k + 1
         # the oracle adds one dense dim x dim matrix per level: one amplitude at depth
         for psi in (0.5, 2.5 + 1.5j, -7j) if dim <= 100 else (2.5 + 1.5j,):

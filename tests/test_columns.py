@@ -22,11 +22,9 @@ from oracles import (
 )
 
 from morsekit import (
-    DOUBLET,
     INTEGER,
     IRRATIONAL,
     RATIONAL,
-    SINGLET,
     GridSpec,
     LevelRecord,
     LevelSequence,
@@ -41,6 +39,7 @@ from morsekit import (
     enumerate_levels,
     ladder_f,
     order_spectrum,
+    pi_multiple_text,
 )
 
 
@@ -121,25 +120,18 @@ class TestLevelSequence:
 
 
 class TestMuBasisColumns:
-    @staticmethod
-    def _overrides(records, picks, pair):
-        doublets = [i for i, rec in enumerate(records) if rec.classification == DOUBLET]
-        return {doublets[p % len(doublets)]: pair for p in picks} if doublets else {}
-
     @settings(max_examples=40, deadline=None)
     @given(
         **_wells,
-        picks=st.lists(st.integers(min_value=0, max_value=10**6), max_size=4),
         gamma=st.complex_numbers(max_magnitude=2.0).filter(lambda z: abs(z) > 1e-3),
         delta=st.complex_numbers(max_magnitude=2.0),
     )
-    def test_property_states_match_the_eager_loop(self, k, mode, eps, digits, picks, gamma, delta):
+    def test_property_states_match_the_eager_loop(self, k, mode, eps, digits, gamma, delta):
         param = _param(k, mode, eps, digits)
         records = enumerate_levels_loop(param)
         spectrum = order_spectrum(param)
         coeffs = MixingCoefficients.normalized(gamma, delta)
-        overrides = self._overrides(records, picks, MixingCoefficients.normalized(delta, -gamma))
-        for args in ((), (coeffs,), (coeffs, overrides)):
+        for args in ((), (coeffs,)):
             try:
                 expected = mu_states_eager(records, *args)
             except ValueError as exc:
@@ -149,46 +141,51 @@ class TestMuBasisColumns:
             else:
                 assert build_mu_basis(spectrum, *args).states == expected
 
-    def test_override_at_a_singlet_is_refused(self, spectrum_3pi):
-        singlet = next(i for i, rec in enumerate(spectrum_3pi.levels) if rec.classification == SINGLET)
-        with pytest.raises(ValueError, match=rf"override at level {singlet}: the singlet"):
-            build_mu_basis(spectrum_3pi, overrides={singlet: MixingCoefficients(1.0, 0.0)})
-
-    @pytest.mark.parametrize("index", [-1, 55, 10**9, 1.0, "3"])
-    def test_override_outside_the_levels_is_refused(self, spectrum_3pi, index):
-        with pytest.raises(ValueError, match=rf"override at level {index!r}: the level indices are 0..54"):
-            build_mu_basis(spectrum_3pi, overrides={index: MixingCoefficients(1.0, 0.0)})
-
-    def test_override_is_carried_by_the_columns(self, spectrum_3pi):
-        special = MixingCoefficients.normalized(0.3 - 0.1j, 1j)
-        basis = build_mu_basis(spectrum_3pi, overrides={18: special})
-        assert (basis.gamma[18], basis.delta[18]) == (special.gamma, special.delta)
-        assert basis.states[18] == MuState(18, *spectrum_3pi.levels[18].members[0], special)
+    @pytest.mark.parametrize(
+        "text, mode",
+        [(pi_multiple_text(3.0), IRRATIONAL), ("4", INTEGER), ("5.25", RATIONAL), ("60.3717", IRRATIONAL)],
+        ids=["3pi", "integer-4", "rational-5.25", "60.3717"],
+    )
+    def test_state_is_the_rule_behind_states(self, text, mode):
+        spectrum = order_spectrum(decompose(text, mode))
+        mix = MixingCoefficients.normalized(0.3 - 0.1j, 1j)
+        basis = build_mu_basis(spectrum, mix)
+        assert [basis.state(i) for i in range(spectrum.xi + 1)] == list(basis.states)
+        doublets = spectrum.n != spectrum.m
+        assert np.array_equal(basis.gamma, np.where(doublets, mix.gamma, 1.0))
+        assert np.array_equal(basis.delta, np.where(doublets, mix.delta, 0.0))
         assert (basis.gamma[0], basis.delta[0]) == (1.0, 0.0)  # the ground singlet
+
+    def test_accidental_level_is_still_refused(self):
+        spectrum = order_spectrum(decompose("12.25", RATIONAL))
+        with pytest.raises(ValueError) as info:
+            build_mu_basis(spectrum)
+        i = int(np.flatnonzero(np.diff(spectrum.bounds) > 1)[0])
+        rec = spectrum.levels[i]
+        assert str(info.value) == (f"level {i} with key {rec.key} holds {rec.multiplicity} states; "
+                                   "a one-state-per-level basis needs a spectrum free of accidental degeneracy")
 
 
 class TestCoherentColumns:
     @settings(max_examples=30, deadline=None)
     @given(
         **_wells,
-        picks=st.lists(st.integers(min_value=0, max_value=10**6), max_size=3),
         magnitude=st.floats(min_value=0.0, max_value=20.0),
         phase=st.floats(min_value=-3.2, max_value=3.2),
     )
-    def test_property_matrix_and_density_match_the_eager_states(self, k, mode, eps, digits, picks, magnitude, phase):
+    def test_property_matrix_and_density_match_the_eager_states(self, k, mode, eps, digits, magnitude, phase):
         param = _param(k, mode, eps, digits)
         records = enumerate_levels_loop(param)
         mix = MixingCoefficients.normalized(0.6 - 0.2j, 0.3 + 0.7j)
-        overrides = TestMuBasisColumns._overrides(records, picks, MixingCoefficients.normalized(-1.0, 1j))
         try:
-            eager = mu_states_eager(records, mix, overrides)
+            eager = mu_states_eager(records, mix)
         except ValueError:
             return  # an accidental level: TestMuBasisColumns checks the refusal
         spectrum = order_spectrum(param)
         # the ladder needs increasing float gaps e_i - e_0, which eps within ~1e-16 of a tie does not give
         assume(ladder_strengths_increase(spectrum))
         state = coherent_coefficients(magnitude * cmath.exp(1j * phase), ladder_f(spectrum),
-                                      build_mu_basis(spectrum, mix, overrides))
+                                      build_mu_basis(spectrum, mix))
         dim = param.k + 1
         matrix = coefficient_matrix_from_states(state.coefficients, eager, dim)
         assert np.array_equal(state.coefficient_matrix(dim).view(np.uint64), matrix.view(np.uint64))

@@ -302,12 +302,6 @@ class TestMuBasis:
             assert state.index == i
             assert (state.n, state.m) == spectrum_3pi.levels[i].members[0]
 
-    def test_override_replaces_single_level(self, spectrum_3pi):
-        special = MixingCoefficients.normalized(1.0, -1.0)
-        basis = build_mu_basis(spectrum_3pi, overrides={18: special})
-        assert basis.states[18].coeffs == special
-        assert basis.states[1].coeffs == MixingCoefficients.equal_mix()
-
     def test_rejects_accidental_spectrum(self):
         spectrum = order_spectrum(decompose("9", "integer"))
         with pytest.raises(ValueError):
@@ -619,12 +613,15 @@ class TestGramMatrix:
 
     @pytest.fixture(scope="class")
     def deep_well(self):
-        # k = 20, complex unequal mixing with one level overridden
+        # k = 20, complex unequal mixing
         p = decompose("20.618", "irrational")
         mix = MixingCoefficients.normalized(0.3 + 0.8j, -0.5 + 0.1j)
-        spectrum = order_spectrum(p)
-        mu = build_mu_basis(spectrum, mix, {4: MixingCoefficients.normalized(1j, 2.0)})
-        return MorseBasis(p), mu
+        return MorseBasis(p), build_mu_basis(order_spectrum(p), mix)
+
+    @staticmethod
+    def _hand_built(mu, i, gamma, delta):
+        """Level i's state with its own mixing pair in place of the basis's."""
+        return MuState(i, int(mu.spectrum.n[i]), int(mu.spectrum.m[i]), MixingCoefficients.normalized(gamma, delta))
 
     @staticmethod
     def _check(basis, states, loop=True):
@@ -641,10 +638,13 @@ class TestGramMatrix:
         self._check(basis_3pi, mu_3pi.states)
 
     def test_deep_well_complex_mixing(self, deep_well):
+        # level 4 carries another pair than the rest, so one call sees two pairs
         basis, mu = deep_well
         assert basis.k == 20
-        g = self._check(basis, mu.states)
-        assert np.max(np.abs(g - np.eye(len(mu.states)))) < 1e-7
+        levels = list(mu.states)
+        levels[4] = self._hand_built(mu, 4, 1j, 2.0)
+        g = self._check(basis, levels)
+        assert np.max(np.abs(g - np.eye(len(levels)))) < 1e-7
 
     @pytest.mark.parametrize("text", ["9.3717", "45.1717", pytest.param("60.3717", marks=pytest.mark.deep)])
     def test_level_basis_against_entry_pairs(self, text):
@@ -669,31 +669,35 @@ class TestGramMatrix:
         assert np.max(np.abs(np.diag(g) - 1.0)) <= 1e-12
 
     def test_hand_built_coherent_states(self, deep_well):
-        # unequal gamma and delta, a pair without its partner, a singlet, and an all-zero state
+        # unequal complex gamma and delta, a pair without its partner (delta = 0), a singlet,
+        # a level state with its own pair, and an all-zero state
         basis, mu = deep_well
         spectrum = mu.spectrum
         doublets = np.flatnonzero(spectrum.n != spectrum.m)
         lone, mixed = int(doublets[3]), int(doublets[5])
         singlet = int(np.flatnonzero(spectrum.n == spectrum.m)[1])
-        overrides = {4: MixingCoefficients.normalized(1j, 2.0), lone: MixingCoefficients.normalized(1.0, 0.0)}
-        levels = build_mu_basis(spectrum, mu.coeffs, overrides)
         rng = np.random.default_rng(25)
         c = np.zeros(mu.xi + 1, dtype=complex)
-        picks = [mixed, lone, singlet, 4]  # level 4 keeps the fixture's override
+        picks = [mixed, lone, singlet, 4]
         c[picks] = rng.normal(size=4) + 1j * rng.normal(size=4)
         c /= np.linalg.norm(c)
         ladder = ladder_f(spectrum)
-        custom = CoherentState(0.5, c, 0.0, levels, ladder)
-        empty = CoherentState(0.5, np.zeros(mu.xi + 1, dtype=complex), 0.0, levels, ladder)
+        custom = CoherentState(0.5, c, 0.0, mu, ladder)
+        empty = CoherentState(0.5, np.zeros(mu.xi + 1, dtype=complex), 0.0, mu, ladder)
+        half, swapped = self._hand_built(mu, lone, 1.0, 0.0), self._hand_built(mu, 4, 1j, 2.0)
         assert [pair[:2] for pair in custom.pairs] == [(spectrum.n[i], spectrum.m[i]) for i in sorted(picks)]
         by_level = dict(zip(sorted(picks), custom.pairs))
-        assert by_level[mixed][2] != by_level[mixed][3] and by_level[lone][3] == 0.0
+        assert by_level[mixed][2] != by_level[mixed][3] and half.pairs[0][3] == 0.0
         assert by_level[singlet][2] == c[singlet] and empty.pairs == ()
-        g = self._check(basis, [custom, levels.states[2], empty, custom, levels.states[lone], empty])
+        g = self._check(basis, [custom, mu.states[2], empty, custom, half, empty, swapped])
         for i in (2, 5):
             assert not np.any(g[i]) and not np.any(g[:, i])
         assert g[0, 3] == pytest.approx(1.0, abs=1e-12)
-        assert g[4, 0] == pytest.approx(c[lone], abs=1e-12)
+        gamma, delta = mu.coeffs.gamma, mu.coeffs.delta
+        assert g[4, 0] == pytest.approx(c[lone] * gamma, abs=1e-12)
+        other = swapped.coeffs
+        assert g[6, 0] == pytest.approx(c[4] * (other.gamma.conjugate() * gamma + other.delta.conjugate() * delta),
+                                        abs=1e-12)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -734,15 +738,15 @@ class TestGramMatrix:
         data=st.data(),
     )
     def test_property_across_block_edges(self, k, eps, gamma, psi, picks, data):
-        # level states, coherent states and one overridden doublet; blocks of 1, 7, L and 7L elements
-        # give one row per block up to seven, most with a short last block
+        # level states, coherent states and one doublet with its own pair; blocks of 1, 7, L and 7L
+        # elements give one row per block up to seven, most with a short last block
         param = decompose(f"{k}.{round(eps * 10**12):012d}3717", "irrational")
         spectrum = order_spectrum(param)
         doublets = np.flatnonzero(spectrum.n != spectrum.m).tolist()
-        override = {data.draw(st.sampled_from(doublets)): MixingCoefficients.normalized(gamma, 0.4 - 0.3j)}
-        mu = build_mu_basis(spectrum, MixingCoefficients.normalized(0.3, 0.7j), override)
+        mu = build_mu_basis(spectrum, MixingCoefficients.normalized(0.3, 0.7j))
         basis = MorseBasis(param)
-        chosen = [mu.states[i % len(mu.states)] for i in picks] + [mu.states[next(iter(override))]]
+        own = self._hand_built(mu, data.draw(st.sampled_from(doublets)), gamma, 0.4 - 0.3j)
+        chosen = [mu.states[i % len(mu.states)] for i in picks] + [own]
         if ladder_strengths_increase(spectrum):
             ladder = ladder_f(spectrum)
             chosen[1:1] = [coherent_coefficients(psi * cmath.exp(1.1j), ladder, mu)]
@@ -818,13 +822,14 @@ class TestGramMatrix:
 
     @pytest.mark.parametrize("text", [pi_multiple_text(3.0), "24.3717", "45.3717"])
     def test_level_state_columns_match_their_fields(self, text):
-        # complex mixing and one override; every column bit for bit, and one pair per state
+        # complex mixing and one doublet with its own pair; every column bit for bit, and one pair per state
         spectrum = order_spectrum(decompose(text, "irrational"))
         doublet = int(np.flatnonzero(spectrum.n != spectrum.m)[3])
-        mu = build_mu_basis(spectrum, MixingCoefficients.normalized(0.6 - 0.2j, 0.3 + 0.7j),
-                            {doublet: MixingCoefficients.normalized(-1.0, 0.5j)})
-        columns, starts, used = states._pair_columns(MorseBasis(spectrum.parameter), list(mu.states))
-        for got, expected in zip(columns, pair_columns_fields(mu.states)):
+        mu = build_mu_basis(spectrum, MixingCoefficients.normalized(0.6 - 0.2j, 0.3 + 0.7j))
+        levels = list(mu.states)
+        levels[doublet] = self._hand_built(mu, doublet, -1.0, 0.5j)
+        columns, starts, used = states._pair_columns(MorseBasis(spectrum.parameter), levels)
+        for got, expected in zip(columns, pair_columns_fields(levels)):
             assert got.dtype == expected.dtype and np.array_equal(got.view(np.uint64), expected.view(np.uint64))
         assert starts is None and used == list(range(spectrum.parameter.k + 1))
 
