@@ -171,7 +171,7 @@ class MuBasis:
 
     def state(self, i: int) -> MuState:
         """Level i's state: |n_i, n_i> at a singlet, ``coeffs`` on |n_i, m_i> and |m_i, n_i> at a doublet."""
-        n, m = int(self.spectrum.n[i]), int(self.spectrum.m[i])
+        n, m = self.spectrum.n.item(i), self.spectrum.m.item(i)
         return MuState(i, n, m) if n == m else MuState(i, n, m, self.coeffs)
 
     @functools.cached_property
